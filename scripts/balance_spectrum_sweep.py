@@ -1,11 +1,11 @@
 """Sweep the spectral balance test over a seeded random corpus.
 
-For each sampled compatible graph the completion K^{D+-} is built and
-its spectrum computed with the in-package Jacobi solver; the spectral
-balance verdict (eigenvalues {m-1, -1 x (m-1)}) is compared against the
-switching-based one.  Larger balanced graphs probe eigenvalue accuracy:
-the worst deviation of any eigenvalue from its integer target is
-reported per order.
+For each sampled compatible graph the spectral balance verdict (does
+the completion K^{D+-} have eigenvalues {m-1, -1 x (m-1)}, decided
+exactly by `balanced_spectrum_test`) is compared against the
+switching-based one.  Larger balanced graphs probe the accuracy of
+`eigenvalues` (LAPACK through numpy): the worst deviation of any
+eigenvalue from its integer target is reported per order.
 
 Run:  python scripts/balance_spectrum_sweep.py [--seed 7] [--trials 60]
 """

@@ -20,7 +20,6 @@ statements.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -156,10 +155,6 @@ def project_path(witnesses: Witnesses, p: Sequence[int]) -> tuple[int, ...]:
         seg = w if w[0] == a else w[::-1]
         walk.extend(seg[1:])
     return tuple(walk)
-
-
-def expected_lift_length(k: int, n: int) -> int:
-    return math.ceil(k / n)
 
 
 # ---------------------------------------------------------------------------

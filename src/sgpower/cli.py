@@ -40,11 +40,33 @@ def _load(path: str) -> SignedGraph:
     return parse_graph(Path(path).read_text())
 
 
-def _parse_path_arg(text: str) -> tuple[int, ...]:
+# -- argument types: a bad value is a usage error, never a traceback --------
+
+
+def _checked(convert, ok, requirement: str):
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value: 'x'"
+    return parse
+
+
+def _vertex_list(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise SystemExit(2) from None
+        msg = f"expected comma-separated vertices, got {text!r}"
+        raise argparse.ArgumentTypeError(msg) from None
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one stderr line and exits with status 2."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
 
 
 def _sign_char(s: int) -> str:
@@ -149,8 +171,7 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_lift(args) -> int:
     g = _load(args.file)
-    p = _parse_path_arg(args.path)
-    lifted = lift_path(g, p, args.n)
+    lifted = lift_path(g, args.path, args.n)
     pr = power(g, args.n)
     print("path " + " ".join(str(v) for v in lifted))
     print("sign " + _sign_char(walk_sign(pr.power_max, lifted)))
@@ -159,11 +180,10 @@ def _cmd_lift(args) -> int:
 
 def _cmd_project(args) -> int:
     g = _load(args.file)
-    p = _parse_path_arg(args.path)
     pr = power(g, args.n)
     if not pr.unique:
         raise NonUniquePowerError(f"the {args.n}-th power of the graph is not unique")
-    w = project_path(pr.witnesses_max, p)
+    w = project_path(pr.witnesses_max, args.path)
     print("walk " + " ".join(str(v) for v in w))
     print("sign " + _sign_char(walk_sign(g, w)))
     return 0
@@ -217,7 +237,7 @@ def _cmd_generate(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sgpower",
         description="signed graph distances, powers, balance and spectra",
     )
@@ -252,24 +272,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("spectrum", _cmd_spectrum, help="adjacency spectrum")
     p.add_argument("--complete-pm", action="store_true", help="spectrum of the common-sign completion")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=_checked(float, lambda x: x > 0, "positive"), default=DEFAULT_TOL)
     p.add_argument("file")
 
     p = add("lift", _cmd_lift, help="lift a path into the n-th power")
     p.add_argument("-n", type=int, required=True)
-    p.add_argument("--path", required=True, help="comma-separated vertices")
+    p.add_argument("--path", type=_vertex_list, required=True, help="comma-separated vertices")
     p.add_argument("file")
 
     p = add("project", _cmd_project, help="project a power path down via witnesses")
     p.add_argument("-n", type=int, required=True)
-    p.add_argument("--path", required=True, help="comma-separated vertices")
+    p.add_argument("--path", type=_vertex_list, required=True, help="comma-separated vertices")
     p.add_argument("file")
 
     p = add("verify", _cmd_verify, help="randomized theorem checks")
     p.add_argument("--theorem", choices=THEOREM_ORDER + ("all",), default="all")
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_checked(int, lambda k: k >= 1, "at least 1"), default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-vertices", type=int, default=8)
+    # every theorem key but sgs draws graphs of at least 3 vertices
+    p.add_argument("--max-vertices", type=_checked(int, lambda k: k >= 3, "at least 3"), default=8)
     p.add_argument("--bundle", default="counterexamples", help="directory for failure bundles")
 
     p = add("generate", _cmd_generate, help="emit graphs from a corpus spec file")

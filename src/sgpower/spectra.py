@@ -4,20 +4,18 @@ A balanced signed complete graph on m vertices is switching-equivalent
 to the all-positive one, so its adjacency spectrum is m-1 (once) and
 -1 (m-1 times); conversely that spectrum forces balance.  Combining
 this with the common-sign completion of a compatible graph gives a
-purely spectral balance criterion, and through the power balance
-equivalence a spectral criterion for the balance of powers.
+purely spectral balance criterion (Acharya, J. Graph Theory 4, 1980),
+and through the power balance equivalence a spectral criterion for the
+balance of powers.
 
-Eigenvalues are computed by cyclic Jacobi rotations on a dense
-symmetric matrix: sweeps of Givens rotations annihilate off-diagonal
-entries until the off-diagonal Frobenius norm drops below `tol`
-(default 1e-10).  For the integer matrices produced here the iteration
-converges in a handful of sweeps; a 100 sweep cap guards against
-non-symmetric garbage.
+`eigenvalues` calls LAPACK's symmetric eigensolver through
+`numpy.linalg.eigvalsh`; its `tol` only sets how close consecutive
+eigenvalues must lie to be grouped.  The balance test decides the
+spectral criterion exactly, on integers, without computing eigenvalues.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,15 +33,14 @@ from .distance import is_compatible
 from .power import associated_complete, is_power_unique, power
 
 DEFAULT_TOL = 1e-10
-_MAX_SWEEPS = 100
 
 
 class NotSymmetricError(SignedGraphError):
-    """Jacobi iteration needs a symmetric matrix."""
+    """The eigensolver needs a symmetric matrix."""
 
 
 class NoConvergenceError(SignedGraphError):
-    """The sweep cap was reached before the tolerance."""
+    """The eigensolver did not converge."""
 
 
 def adjacency_matrix(g: SignedGraph) -> np.ndarray:
@@ -73,18 +70,8 @@ class Spectrum:
         return len(self.eigenvalues)
 
 
-def _off_norm(a: np.ndarray) -> float:
-    # Sum the off-diagonal squares directly: subtracting the diagonal
-    # mass from the full Frobenius norm cancels catastrophically once
-    # the off-diagonal part is tiny, and would floor the result near
-    # sqrt(eps) * ||a|| instead of letting it reach zero.
-    off = a.astype(np.float64, copy=True)
-    np.fill_diagonal(off, 0.0)
-    return float(np.sqrt(np.sum(off * off)))
-
-
 def eigenvalues(m: np.ndarray, tol: float = DEFAULT_TOL) -> Spectrum:
-    """Spectrum of a symmetric matrix by the cyclic Jacobi method."""
+    """Spectrum of a symmetric matrix, by LAPACK's symmetric eigensolver."""
     a = np.asarray(m)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise ValueError("need a square matrix of order >= 1")
@@ -92,33 +79,11 @@ def eigenvalues(m: np.ndarray, tol: float = DEFAULT_TOL) -> Spectrum:
         raise NotSymmetricError("matrix is not symmetric")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    a = a.astype(np.float64, copy=True)
-    n = a.shape[0]
-    if n > 1:
-        for _ in range(_MAX_SWEEPS):
-            if _off_norm(a) < tol:
-                break
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    apq = a[p, q]
-                    if apq == 0.0:
-                        continue
-                    tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                    t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(tau, 1.0))
-                    c = 1.0 / math.sqrt(t * t + 1.0)
-                    s = t * c
-                    col_p = a[:, p].copy()
-                    col_q = a[:, q].copy()
-                    a[:, p] = c * col_p - s * col_q
-                    a[:, q] = s * col_p + c * col_q
-                    row_p = a[p, :].copy()
-                    row_q = a[q, :].copy()
-                    a[p, :] = c * row_p - s * row_q
-                    a[q, :] = s * row_p + c * row_q
-                    a[p, q] = a[q, p] = 0.0
-        else:
-            raise NoConvergenceError(f"no convergence within {_MAX_SWEEPS} sweeps")
-    values = sorted((float(x) for x in np.diag(a)), reverse=True)
+    try:
+        ascending = np.linalg.eigvalsh(a.astype(np.float64))
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"eigensolver did not converge: {exc}") from None
+    values = [float(x) for x in ascending[::-1]]
     return Spectrum(tuple(values), _cluster(values, tol), tol)
 
 
@@ -135,27 +100,44 @@ def _cluster(values: list[float], tol: float) -> tuple[tuple[float, int], ...]:
     return tuple(groups)
 
 
-def _matches_balanced_pattern(spec: Spectrum, order: int, tol: float) -> bool:
-    """Eigenvalues equal {order-1 once, -1 repeated} within 10 * tol."""
-    atol = 10.0 * tol
-    targets = [float(order - 1)] + [-1.0] * (order - 1)
-    return all(abs(x - t) <= atol for x, t in zip(spec.eigenvalues, targets))
+def _is_sign_outer_product(b: np.ndarray) -> bool:
+    """True iff b = x x^T for some x in {+1, -1}^m, given b[0, 0] = 1."""
+    return bool(np.array_equal(b, np.outer(b[0], b[0])))
 
 
-def balanced_spectrum_test(g: SignedGraph, tol: float = DEFAULT_TOL) -> bool:
+def balanced_spectrum_test(g: SignedGraph) -> bool:
     """Spectral balance test for a connected compatible graph.
 
     True iff the common-sign completion of g has spectrum
     {m-1 once, -1 (m-1) times}, which holds iff g is balanced.
+
+    The check on B is exact and O(m^2).  Let A be the adjacency matrix
+    of the completion and B = A + I: symmetric, unit diagonal, every
+    other entry +1 or -1.  Then
+
+        spectrum of A is {m-1 once, -1 (m-1) times}
+        <=> B^2 = m B
+        <=> B has rank one (with unit diagonal)
+        <=> B = x x^T for some x in {+1, -1}^m.
+
+    First: B is orthogonally diagonalizable with eigenvalues
+    mu = lambda + 1, so B^2 = m B iff every mu is 0 or m, and
+    trace B = m then leaves m exactly once.  Second: rank B is the
+    number of nonzero mu, so that spectrum gives rank one; conversely a
+    symmetric rank-one B is c y y^T, the unit diagonal forces c > 0 and
+    puts x = sqrt(c) y in {+1, -1}^m, and B^2 = x (x^T x) x^T = m B.
+    Last, B = x x^T holds iff B = B[0] B[0]^T, since B[0] = x_0 x and
+    x_0^2 = 1.  Read entrywise, B = x x^T gives every completion edge
+    the sign x_u x_v: switching by x makes it all positive.
     """
     if not is_compatible(g):  # raises DisconnectedError when disconnected
         raise NotCompatibleError("the spectral balance test needs a compatible graph")
-    complete = associated_complete(g, "pm")
-    spec = eigenvalues(adjacency_matrix(complete), tol)
-    return _matches_balanced_pattern(spec, g.vertex_count, tol)
+    b = adjacency_matrix(associated_complete(g, "pm"))
+    np.fill_diagonal(b, 1)
+    return _is_sign_outer_product(b)
 
 
-def power_balance_spectrum_test(g: SignedGraph, n: int, tol: float = DEFAULT_TOL) -> bool:
+def power_balance_spectrum_test(g: SignedGraph, n: int) -> bool:
     """On a 2-connected compatible graph with a unique n-th power: the
     power is balanced iff the spectral balance test passes on g.
     Returns True when the two routes agree."""
@@ -167,5 +149,5 @@ def power_balance_spectrum_test(g: SignedGraph, n: int, tol: float = DEFAULT_TOL
         raise NonUniquePowerError(f"the {n}-th power of the graph is not unique")
     pr = power(g, n)
     direct = is_balanced(pr.power_max).balanced
-    spectral = balanced_spectrum_test(g, tol)
+    spectral = balanced_spectrum_test(g)
     return direct == spectral

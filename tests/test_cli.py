@@ -237,6 +237,30 @@ def test_parse_error_reports_line(capsys, tmp_path):
     assert err.startswith("LoopEdge: line 3:")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--trials", "0"], "argument --trials: must be at least 1, got 0"),
+        (
+            ["verify", "--theorem", "t27", "--max-vertices", "2"],
+            "argument --max-vertices: must be at least 3, got 2",
+        ),
+        (["spectrum", "--tol", "0"], "argument --tol: must be positive, got 0"),
+        (["lift", "-n", "2", "--path", "0,x"], "argument --path: expected comma-separated"),
+        (["project", "-n", "2", "--path", "0,x"], "argument --path: expected comma-separated"),
+    ],
+)
+def test_bad_argument_values_are_one_line_usage_errors(capsys, c4_file, argv, message):
+    if argv[0] != "verify":
+        argv = argv + [c4_file]
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert f"sgpower {argv[0]}: error: {message}" in err
+
+
 def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as e:
         main([])

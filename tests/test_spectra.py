@@ -1,11 +1,13 @@
-"""Jacobi eigenvalues against numpy, and the spectral balance tests."""
+"""LAPACK eigenvalues against the Jacobi reference, and the spectral balance tests."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import jacobi
 from sgpower import (
+    NoConvergenceError,
     NotCompatibleError,
     NotSymmetricError,
     NotTwoConnectedError,
@@ -27,11 +29,12 @@ from conftest import (
     cycle_graph,
     path_graph,
 )
+from sgpower.spectra import _is_sign_outer_product
 
 
-def _assert_close_to_numpy(m, tol=1e-9):
+def _assert_close_to_jacobi(m, tol=1e-9):
     ours = eigenvalues(m).eigenvalues
-    ref = sorted(np.linalg.eigvalsh(np.asarray(m, dtype=float)), reverse=True)
+    ref = jacobi.eigenvalues(m).eigenvalues
     assert len(ours) == len(ref)
     for a, b in zip(ours, ref):
         assert abs(a - b) < tol
@@ -53,8 +56,8 @@ def symmetric_int_matrices(draw, max_order=8, max_entry=3):
 
 @given(symmetric_int_matrices())
 @settings(max_examples=120, deadline=None)
-def test_jacobi_matches_numpy(m):
-    _assert_close_to_numpy(m)
+def test_eigenvalues_match_jacobi_reference(m):
+    _assert_close_to_jacobi(m)
 
 
 def test_jacobi_handles_degenerate_clusters():
@@ -62,10 +65,11 @@ def test_jacobi_handles_degenerate_clusters():
     # computed by subtracting Frobenius sums, whose cancellation error
     # floored near sqrt(eps) and made the sweep loop appear stuck
     m = np.array([[0, 1, 1, 1], [1, 0, -1, 1], [1, -1, 0, 1], [1, 1, 1, 0]])
-    spec = eigenvalues(m)
     root5 = np.sqrt(5.0)
-    for got, want in zip(spec.eigenvalues, (root5, 1.0, -1.0, -root5)):
-        assert abs(got - want) < 1e-9
+    for solve in (jacobi.eigenvalues, eigenvalues):
+        spec = solve(m)
+        for got, want in zip(spec.eigenvalues, (root5, 1.0, -1.0, -root5)):
+            assert abs(got - want) < 1e-9
 
 
 def test_spectrum_of_all_positive_complete_graph():
@@ -90,6 +94,15 @@ def test_eigenvalues_input_validation():
     with pytest.raises(ValueError):
         eigenvalues(np.zeros((2, 2)), tol=0.0)
     assert eigenvalues(np.array([[7.0]])).eigenvalues == (7.0,)
+
+
+def test_lapack_failure_is_no_convergence(monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    with pytest.raises(NoConvergenceError):
+        eigenvalues(np.eye(2))
 
 
 @given(connected_signed_graphs(max_vertices=7), st.sets(st.integers(0, 6)))
@@ -133,6 +146,28 @@ def test_spectral_balance_agrees_with_direct_test(g):
             balanced_spectrum_test(g)
         return
     assert balanced_spectrum_test(g) == is_balanced(g).balanced
+
+
+@given(connected_signed_graphs())
+@settings(max_examples=80, deadline=None)
+def test_exact_balance_test_matches_jacobi_pattern(g):
+    from sgpower import is_compatible
+
+    if not is_compatible(g):
+        return
+    spec = jacobi.eigenvalues(adjacency_matrix(associated_complete(g, "pm")))
+    assert balanced_spectrum_test(g) == jacobi.matches_balanced_pattern(spec, g.vertex_count)
+
+
+def test_sign_outer_product_at_order_300():
+    # a switched positive 300-cycle is balanced: its completion is x x^T - I
+    g = switch(cycle_graph([1] * 300), range(0, 300, 7))
+    b = adjacency_matrix(associated_complete(g, "pm"))
+    np.fill_diagonal(b, 1)
+    assert _is_sign_outer_product(b)
+    assert balanced_spectrum_test(g)
+    b[17, 203] = b[203, 17] = -b[17, 203]
+    assert not _is_sign_outer_product(b)
 
 
 def test_power_balance_spectrum_preconditions():
