@@ -2,8 +2,9 @@
 
 Subcommands: info, distance, power, complete, balance, compatible,
 spectrum, lift, project, verify, generate.  Graphs travel as the plain
-text format of `fileio`.  Domain errors exit with status 1 and the
-error name on standard error; usage errors exit with status 2.
+text format of `fileio`.  Domain errors and unreadable files exit with
+status 1 and the error name on standard error; usage errors exit with
+status 2.
 """
 
 from __future__ import annotations
@@ -304,13 +305,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SignedGraphError as exc:
+    except (SignedGraphError, OSError) as exc:
         name = type(exc).__name__
         name = name[: -len("Error")] if name.endswith("Error") else name
         print(f"{name}: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        print(f"FileNotFound: {exc}", file=sys.stderr)
         return 1
 
 

@@ -37,9 +37,9 @@ from .balance import (
     verify_power_compat_implies_compat,
 )
 from .core import SignedGraph, is_two_connected, path_sign, walk_sign
-from .distance import _reach_table, diameter, is_compatible
+from .distance import _reach_table, diameter
 from .oracle import CorpusSpec, enumerate_shortest_paths, generate, oracle_signs
-from .power import associated_complete, is_power_unique, power
+from .power import associated_complete, check_diameter_power_theorem, is_power_unique, power
 from .spectra import balanced_spectrum_test, power_balance_spectrum_test
 
 THEOREM_ORDER = ("t1", "diam", "l1", "le", "t27", "blcm", "l3", "cbp", "sgs", "nbc")
@@ -80,16 +80,14 @@ def _note(notes: dict[str, int], key: str) -> None:
 
 
 def _check_t1(g: SignedGraph, rng: random.Random, notes: dict[str, int]) -> str | None:
-    table = _reach_table(g)
+    dist = _reach_table(g)[0].tolist()
     pairs = [(u, v) for u in range(g.vertex_count) for v in range(u + 1, g.vertex_count)]
     single = {(u, v): oracle_signs(g, u, v).is_single for u, v in pairs}
     for n in _exponents(g):
         by_pairs = is_power_unique(g, n)
         pr = power(g, n)
         by_signs = pr.power_max == pr.power_min
-        by_oracle = all(
-            single[u, v] for u, v in pairs if table[u][v].distance <= n
-        )
+        by_oracle = all(single[u, v] for u, v in pairs if dist[u][v] <= n)
         if not (by_pairs == by_signs == pr.unique == by_oracle):
             return (
                 f"n={n}: uniqueness routes disagree "
@@ -101,20 +99,9 @@ def _check_t1(g: SignedGraph, rng: random.Random, notes: dict[str, int]) -> str 
 def _check_diam(g: SignedGraph, rng: random.Random, notes: dict[str, int]) -> str | None:
     d = diameter(g)
     for n in (d, d + 1):
-        if not check_diameter_power_theorem_full(g, n):
+        if not check_diameter_power_theorem(g, n):
             return f"n={n}: power differs from the distance completion"
     return None
-
-
-def check_diameter_power_theorem_full(g: SignedGraph, n: int) -> bool:
-    pr = power(g, n)
-    if pr.power_max != associated_complete(g, "max"):
-        return False
-    if pr.power_min != associated_complete(g, "min"):
-        return False
-    if is_compatible(g) and pr.power_max != associated_complete(g, "pm"):
-        return False
-    return True
 
 
 def _sample_pairs(g: SignedGraph, rng: random.Random) -> list[tuple[int, int]]:

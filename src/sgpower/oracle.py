@@ -76,21 +76,25 @@ def enumerate_shortest_paths(
     d = du[v]
     paths: list[tuple[int, ...]] = []
     prefix = [u]
-
-    def extend(x: int) -> None:
+    # iterative DFS: one neighbor iterator per prefix vertex, so the depth
+    # is bounded by memory, not by the interpreter's recursion limit
+    stack = [iter(g.neighbors(u))]
+    while stack:
+        x = prefix[-1]
+        nxt = None
         if x == v:
             if len(paths) >= max_paths:
                 raise TooManyPathsError(f"more than {max_paths} shortest paths")
             paths.append(tuple(prefix))
-            return
-        for y, _ in g.neighbors(x):
+        else:
             # stay on the shortest-path DAG and keep v reachable in budget
-            if du[y] == du[x] + 1 and du[y] + dv[y] == d:
-                prefix.append(y)
-                extend(y)
-                prefix.pop()
-
-    extend(u)
+            nxt = next((y for y, _ in stack[-1] if du[y] == du[x] + 1 and du[y] + dv[y] == d), None)
+        if nxt is None:
+            stack.pop()
+            prefix.pop()
+        else:
+            prefix.append(nxt)
+            stack.append(iter(g.neighbors(nxt)))
     return paths
 
 

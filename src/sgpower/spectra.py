@@ -75,6 +75,8 @@ def eigenvalues(m: np.ndarray, tol: float = DEFAULT_TOL) -> Spectrum:
     a = np.asarray(m)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise ValueError("need a square matrix of order >= 1")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has a non-finite entry")
     if not np.array_equal(a, a.T):
         raise NotSymmetricError("matrix is not symmetric")
     if tol <= 0:

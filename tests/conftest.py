@@ -8,11 +8,23 @@ package is meaningful.  They are only ever called on small graphs.
 from __future__ import annotations
 
 import itertools
+import os
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
 from sgpower import SignedGraph
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def child_env() -> dict[str, str]:
+    """Environment in which a child process imports sgpower from this
+    checkout, whatever its working directory (PYTHONPATH may be relative)."""
+    paths = [str(ROOT / "src"), *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
 
 
 # -- fixed builders ----------------------------------------------------------

@@ -43,7 +43,7 @@ from sgpower import (
 from sgpower.cli import main as cli_main
 from sgpower.oracle import enumerate_shortest_paths
 
-from conftest import all_negative_cycle, all_signings
+from conftest import all_negative_cycle, all_signings, child_env
 
 
 # -- shared corpora (seeds fixed once, never touched again) ---------------------
@@ -305,10 +305,12 @@ def test_criterion_10_verify_output_is_deterministic(tmp_path):
             [sys.executable, "-m", "sgpower", "verify", "--theorem", "all",
              "--trials", "200", "--seed", "42", "--bundle", "cx"],
             cwd=cwd,
+            env=child_env(),
             capture_output=True,
             timeout=300,
         )
         assert proc.returncode in (0, 1)
+        assert proc.stdout.startswith(b"t1 ")
         outputs.append(proc.stdout)
         bundle = cwd / "cx"
         if bundle.is_dir():

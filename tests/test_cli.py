@@ -229,6 +229,12 @@ def test_missing_file_is_a_domain_error(capsys):
     assert err.startswith("FileNotFound:")
 
 
+def test_unreadable_path_is_a_domain_error(capsys, tmp_path):
+    code, out, err = run(capsys, "info", str(tmp_path))  # a directory
+    assert code == 1 and out == ""
+    assert err.startswith("IsADirectory:") and len(err.splitlines()) == 1
+
+
 def test_parse_error_reports_line(capsys, tmp_path):
     f = tmp_path / "bad.sg"
     f.write_text("sg 1\nn 3\n0 0 +\n")

@@ -1,9 +1,12 @@
 """Signed distances, compatibility, and sign-constrained shortest paths.
 
-The dynamic program behind `sign_reachability` is checked pairwise
-against exhaustive path enumeration and against an even dumber DFS that
-never looks at the BFS DAG at all.
+The all-sources kernel behind `_reach_table` is checked pair by pair
+against the per-source BFS and sign DP in `reach_reference.py`, and the
+sign sets against exhaustive path enumeration and an even dumber DFS
+that never looks at the BFS DAG at all.
 """
+
+import random
 
 import numpy as np
 import pytest
@@ -23,8 +26,11 @@ from sgpower import (
     shortest_path_with_sign,
     sign_reachability,
 )
+from sgpower import distance
+from sgpower.distance import _reach_table
 from sgpower.oracle import enumerate_shortest_paths
 
+import reach_reference
 from conftest import (
     all_negative_cycle,
     brute_shortest_paths,
@@ -65,6 +71,81 @@ def test_disconnected_source_raises():
     g = SignedGraph(3, [(0, 1, 1)])
     with pytest.raises(DisconnectedError):
         sign_reachability(g, 0)
+
+
+# -- the all-sources kernel against the per-source reference -------------------
+
+
+def _assert_table_matches_reference(g):
+    dist, mask = _reach_table(g)
+    assert dist.shape == mask.shape == (g.vertex_count, g.vertex_count)
+    for u, row in enumerate(reach_reference.reach_table(g)):
+        for v, (d, signs) in enumerate(row):
+            assert dist[u, v] == d
+            assert bool(mask[u, v] & 1) == signs.has_positive
+            assert bool(mask[u, v] & 2) == signs.has_negative
+
+
+@given(connected_signed_graphs(min_vertices=1, max_vertices=10))
+@settings(max_examples=150)
+def test_reach_table_matches_per_source_reference(g):
+    _assert_table_matches_reference(g)
+    for u in range(g.vertex_count):
+        assert sign_reachability(g, u) == reach_reference.sign_reachability(g, u)
+
+
+def test_reach_table_on_one_and_two_vertices():
+    for g in (SignedGraph(1), SignedGraph(2, [(0, 1, 1)]), SignedGraph(2, [(0, 1, -1)])):
+        _assert_table_matches_reference(g)
+    dist, mask = _reach_table(SignedGraph(2, [(0, 1, -1)]))
+    assert dist.tolist() == [[0, 1], [1, 0]]
+    assert mask.tolist() == [[1, 2], [2, 1]]
+
+
+def test_reach_table_on_a_long_path():
+    # one BFS level per edge: diameter 2999, alternating signs
+    n = 3000
+    signs = [(-1) ** i for i in range(n - 1)]
+    g = path_graph(signs)
+    dist, mask = _reach_table(g)
+    span = np.arange(n, dtype=np.int32)
+    assert np.array_equal(dist, np.abs(np.subtract.outer(span, span)))
+    # the only i-j path has sign prefix(i) * prefix(j), prefix(k) = sign of 0..k
+    prefix = np.cumprod([1] + signs).astype(np.int8)
+    expected = np.where(np.multiply.outer(prefix, prefix) > 0, np.uint8(1), np.uint8(2))
+    assert np.array_equal(mask, expected)
+    assert diameter(g) == n - 1
+
+
+def test_reach_table_on_a_grid_matches_reference():
+    # many shortest paths per pair, so many repeated keys at every level
+    rng = random.Random(7)
+    side = 10
+    edges = [(v, v + 1, rng.choice((1, -1))) for v in range(side * side) if v % side < side - 1]
+    edges += [(v, v + side, rng.choice((1, -1))) for v in range(side * (side - 1))]
+    g = SignedGraph(side * side, edges)
+    _assert_table_matches_reference(g)
+    assert diameter(g) == 2 * (side - 1)
+
+
+def test_disconnected_graph_names_the_reference_pair(monkeypatch):
+    builds = []
+    kernel = distance._all_sources
+    monkeypatch.setattr(distance, "_all_sources", lambda g: builds.append(g) or kernel(g))
+    g = SignedGraph(6, [(0, 1, 1), (1, 2, -1), (3, 4, 1), (4, 5, -1)])
+    with pytest.raises(DisconnectedError) as ref:
+        reach_reference.reach_table(g)
+    for read in (diameter, first_incompatible_pair, distance_matrices):
+        with pytest.raises(DisconnectedError) as got:
+            read(g)
+        assert str(got.value) == str(ref.value) == "vertex 3 unreachable from 0"
+    for source in range(g.vertex_count):
+        with pytest.raises(DisconnectedError) as ref:
+            reach_reference.sign_reachability(g, source)
+        with pytest.raises(DisconnectedError) as got:
+            sign_reachability(g, source)
+        assert str(got.value) == str(ref.value)
+    assert builds == [g]  # the partial table is kept, not rebuilt per call
 
 
 # -- frozen small cases --------------------------------------------------------

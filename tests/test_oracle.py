@@ -10,6 +10,7 @@ from sgpower import (
     CorpusSpec,
     DisconnectedError,
     GenerationExhaustedError,
+    PathSigns,
     SignedGraph,
     TooManyPathsError,
     count_shortest_paths,
@@ -57,6 +58,14 @@ def test_enumeration_respects_budget():
     with pytest.raises(TooManyPathsError):
         enumerate_shortest_paths(g, 0, 2, max_paths=1)
     assert len(enumerate_shortest_paths(g, 0, 2, max_paths=2)) == 2
+
+
+def test_enumeration_has_no_depth_limit():
+    # deeper than the interpreter's recursion limit
+    g = SignedGraph(3000, [(i, i + 1, -1) for i in range(2999)])
+    assert enumerate_shortest_paths(g, 0, 2999) == [tuple(range(3000))]
+    assert oracle_signs(g, 0, 2999) == oracle_signs(g, 2999, 0) == PathSigns(False, True)
+    assert oracle_signs(g, 0, 2998) == PathSigns(True, False)
 
 
 def test_enumeration_requires_reachability():

@@ -6,6 +6,7 @@ completion does not commute with taking powers: the all-negative
 max-completion of the cycle itself.
 """
 
+import importlib
 import math
 
 import pytest
@@ -26,6 +27,7 @@ from sgpower import (
     oracle_signs,
     path_sign,
     power,
+    shortest_path_with_sign,
     sign_reachability,
     switch,
 )
@@ -103,6 +105,40 @@ def test_witnesses_realize_their_edges(g, n):
         assert path_sign(g, w) == pr.power_max.sign(u, v)
     for (u, v), w in pr.witnesses_min.items():
         assert path_sign(g, w) == pr.power_min.sign(u, v)
+
+
+@given(connected_signed_graphs(), st.integers(1, 4))
+@settings(max_examples=80)
+def test_lazy_witnesses_equal_the_eager_ones(g, n):
+    pr = power(g, n)
+    for h, witnesses in ((pr.power_max, pr.witnesses_max), (pr.power_min, pr.witnesses_min)):
+        eager = {(u, v): shortest_path_with_sign(g, u, v, s) for u, v, s in h.edges}
+        assert list(witnesses) == list(eager)
+        assert dict(witnesses) == eager
+
+
+def test_power_builds_no_witness_until_one_is_read(monkeypatch):
+    module = importlib.import_module("sgpower.power")  # the package's `power` is the function
+    built = []
+
+    def counting(g, u, v, sign):
+        built.append((u, v))
+        return shortest_path_with_sign(g, u, v, sign)
+
+    monkeypatch.setattr(module, "shortest_path_with_sign", counting)
+    pr = power(all_negative_cycle(7), 2)
+    assert built == []
+    assert len(pr.witnesses_max) == 14 and (0, 2) in pr.witnesses_max
+    assert (0, 3) not in pr.witnesses_max and pr.witnesses_max.get((0, 3)) is None
+    assert built == []
+    assert pr.witnesses_max[(0, 2)] == (0, 1, 2)
+    assert pr.witnesses_max[(0, 2)] == (0, 1, 2)
+    assert built == [(0, 2)]  # built once, then kept
+    witnesses = dict(pr.witnesses_max)
+    assert sorted(built) == sorted(witnesses)  # each of the 14 built exactly once
+    assert dict(pr.witnesses_min) == witnesses  # the square of C7 is unique
+    with pytest.raises(TypeError):
+        pr.witnesses_max[(0, 1)] = (0, 1)
 
 
 def test_first_power_is_the_graph_itself():

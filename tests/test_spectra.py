@@ -93,6 +93,9 @@ def test_eigenvalues_input_validation():
         eigenvalues(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         eigenvalues(np.zeros((2, 2)), tol=0.0)
+    for bad in (np.inf, -np.inf, np.nan):  # rejected before LAPACK sees them
+        with pytest.raises(ValueError, match="non-finite"):
+            eigenvalues(np.array([[bad, 1.0], [1.0, 1.0]]))
     assert eigenvalues(np.array([[7.0]])).eigenvalues == (7.0,)
 
 
