@@ -18,7 +18,6 @@ from .core import (
     VertexOutOfRangeError,
     is_connected,
     is_two_connected,
-    new_signed_graph,
     path_sign,
     switch,
     walk_sign,
@@ -39,6 +38,7 @@ from .power import (
     PowerResult,
     associated_complete,
     check_diameter_power_theorem,
+    first_incompatible_pair_within,
     is_power_unique,
     power,
 )

@@ -32,7 +32,7 @@ from .distance import (
 )
 from .fileio import parse_corpus_spec, parse_graph, serialize_graph
 from .oracle import generate
-from .power import associated_complete, power
+from .power import associated_complete, first_incompatible_pair_within, power
 from .spectra import DEFAULT_TOL, adjacency_matrix, eigenvalues
 from .harness import THEOREM_ORDER
 
@@ -75,8 +75,8 @@ def _sign_char(s: int) -> str:
 
 
 def _print_matrix(m) -> None:
-    for row in m:
-        print("\t".join(str(int(x)) for x in row))
+    for row in m.tolist():
+        print("\t".join(map(str, row)))
 
 
 # -- subcommand handlers ----------------------------------------------------
@@ -114,12 +114,8 @@ def _cmd_distance(args) -> int:
 def _cmd_power(args) -> int:
     g = _load(args.file)
     pr = power(g, args.n)
-    if args.mode == "unique" and not pr.unique:
-        pair = next(
-            (u, v)
-            for (u, v, smax), (_, _, smin) in zip(pr.power_max.edges, pr.power_min.edges)
-            if smax != smin
-        )
+    pair = first_incompatible_pair_within(g, args.n) if args.mode == "unique" else None
+    if pair is not None:
         raise NonUniquePowerError(
             f"incompatible pair {pair[0]} {pair[1]} at distance <= {args.n}"
         )

@@ -80,7 +80,10 @@ class SignedGraph:
 
     `edges` may list endpoints in either order; they are stored
     canonically with u < v.  Loops, repeated pairs, signs outside
-    {+1, -1} and out-of-range endpoints are rejected.
+    {+1, -1} and out-of-range endpoints are rejected.  The sorted
+    adjacency lists are built by the first walk (`neighbors`, `degree`,
+    the sign table) and kept, so a graph that is only compared, hashed,
+    signed or serialized never builds them.
     """
 
     __slots__ = ("vertex_count", "_sign_by_pair", "_adjacency", "_cache")
@@ -102,13 +105,9 @@ class SignedGraph:
             if key in sign_by_pair:
                 raise DuplicateEdgeError(f"edge {key} appears more than once")
             sign_by_pair[key] = s
-        neighbors: list[list[tuple[int, int]]] = [[] for _ in range(vertex_count)]
-        for (u, v), s in sign_by_pair.items():
-            neighbors[u].append((v, s))
-            neighbors[v].append((u, s))
         self.vertex_count: int = vertex_count
         self._sign_by_pair = sign_by_pair
-        self._adjacency = tuple(tuple(sorted(ns)) for ns in neighbors)
+        self._adjacency: tuple[tuple[tuple[int, int], ...], ...] | None = None
         self._cache: dict = {}
 
     # -- accessors ---------------------------------------------------------
@@ -141,7 +140,17 @@ class SignedGraph:
     def neighbors(self, v: int) -> tuple[tuple[int, int], ...]:
         """(neighbor, sign) pairs of v in ascending neighbor order."""
         self._check_vertex(v)
-        return self._adjacency[v]
+        return (self._adjacency or self._adjacency_rows())[v]
+
+    def _adjacency_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """`neighbors` of every vertex, built by the first walk and kept."""
+        if self._adjacency is None:
+            rows: list[list[tuple[int, int]]] = [[] for _ in range(self.vertex_count)]
+            for (u, v), s in self._sign_by_pair.items():
+                rows[u].append((v, s))
+                rows[v].append((u, s))
+            self._adjacency = tuple(tuple(sorted(row)) for row in rows)
+        return self._adjacency
 
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))
@@ -169,11 +178,6 @@ class SignedGraph:
 
     def __repr__(self) -> str:
         return f"SignedGraph({self.vertex_count}, {list(self.edges)!r})"
-
-
-def new_signed_graph(vertex_count: int, edges: Iterable[tuple[int, int, int]]) -> SignedGraph:
-    """Validating constructor; equivalent to SignedGraph(vertex_count, edges)."""
-    return SignedGraph(vertex_count, edges)
 
 
 def switch(g: SignedGraph, vertices: Iterable[int]) -> SignedGraph:

@@ -88,7 +88,7 @@ def _cover_arcs(g: SignedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     vertex c are heads[ends[c] - degrees[c] : ends[c]].
     """
     heads, ends = [], []
-    for adj in g._adjacency:
+    for adj in g._adjacency_rows():
         heads += [2 * y + (s < 0) for y, s in adj]  # out of (x, +)
         ends.append(len(heads))
         heads += [2 * y + (s > 0) for y, s in adj]  # out of (x, -)

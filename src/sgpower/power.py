@@ -14,15 +14,22 @@ same construction, which `check_diameter_power_theorem` verifies.
 
 Every power edge has a witness: the lexicographically least shortest
 path between its ends that realizes the edge's sign.  The witnesses
-drive path projection from a power back into its base graph.  They are
-built on first access, one edge at a time, and then kept: `power()`
-itself reconstructs no path.
+drive path projection from a power back into its base graph.
+
+`power()` checks its input and reads the sign table at once, so a bad
+exponent or a disconnected graph raises there; everything else is read
+off the table on first access and then kept.  Reading `unique`, or the
+keys of a witness map, builds no graph; a witness map's keys are the
+edges of its power in row-major order (u < v); each witness is built
+the first time it is read.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
 
 from .core import (
     BadExponentError,
@@ -44,82 +51,137 @@ from .distance import (
 Witnesses = Mapping[tuple[int, int], tuple[int, ...]]
 
 
-class _LazyWitnesses(Mapping):
-    """Read-only witness map over the edges of one power.
+def _close_pairs(g: SignedGraph, n: int) -> tuple[list[int], list[int], list[int]]:
+    """(us, vs, mask entries) of the pairs u < v at distance <= n, row-major."""
+    dist, mask = _reach_table(g)
+    flat = np.flatnonzero(dist <= n)
+    us, vs = np.divmod(flat, g.vertex_count)
+    upper = us < vs
+    return us[upper].tolist(), vs[upper].tolist(), mask.ravel()[flat[upper]].tolist()
 
-    `signs` maps each edge (u, v), u < v, to its sign; the witness of an
-    edge is computed by `shortest_path_with_sign` on first access and
-    cached.
+
+class _LazyWitnesses(Mapping):
+    """Read-only witness map over the edges of one n-th power of g.
+
+    The keys are the pairs u < v at distance at most n, and `sigma`,
+    indexed by a mask entry, gives each edge's sign: both are read off
+    g's sign table.  The witness of an edge is computed by
+    `shortest_path_with_sign` on first access and cached.
     """
 
-    def __init__(self, g: SignedGraph, signs: Mapping[tuple[int, int], int]):
+    def __init__(self, g: SignedGraph, n: int, sigma: tuple[int, ...]):
         self._g = g
-        self._signs = signs
+        self._n = n
+        self._sigma = sigma
+        self._dist, self._mask = _reach_table(g)
         self._paths: dict[tuple[int, int], tuple[int, ...]] = {}
 
+    def _sign(self, key: object) -> int | None:
+        """The sign of the power edge `key`, or None if it is no edge."""
+        if isinstance(key, tuple) and len(key) == 2:
+            u, v = key
+            try:
+                if 0 <= u < v < self._g.vertex_count and self._dist[u, v] <= self._n:
+                    return self._sigma[self._mask[u, v]]
+            except (TypeError, IndexError):  # not a pair of vertex indices
+                pass
+        return None
+
+    def _built(self, key: object) -> bool:
+        # exact tuples only: `key in dict` raises TypeError for a list
+        return type(key) is tuple and key in self._paths
+
     def __getitem__(self, key: tuple[int, int]) -> tuple[int, ...]:
-        path = self._paths.get(key)
-        if path is None:
-            sign = self._signs[key]
-            path = self._paths[key] = shortest_path_with_sign(self._g, key[0], key[1], sign)
+        if self._built(key):
+            return self._paths[key]
+        sign = self._sign(key)
+        if sign is None:
+            raise KeyError(key)
+        path = self._paths[key] = shortest_path_with_sign(self._g, key[0], key[1], sign)
         return path
 
     def __contains__(self, key: object) -> bool:
-        return key in self._signs  # without building the witness
+        return self._built(key) or self._sign(key) is not None  # without building the witness
 
     def __iter__(self):
-        return iter(self._signs)
+        us, vs, _ = _close_pairs(self._g, self._n)
+        return zip(us, vs)
 
     def __len__(self) -> int:
-        return len(self._signs)
+        # dist is symmetric and its diagonal (0) is always within n
+        return (int(np.count_nonzero(self._dist <= self._n)) - self._g.vertex_count) // 2
 
 
-@dataclass(frozen=True)
 class PowerResult:
-    n: int
-    power_max: SignedGraph
-    power_min: SignedGraph
-    unique: bool
-    witnesses_max: Witnesses = field(repr=False)
-    witnesses_min: Witnesses = field(repr=False)
+    """Both n-th powers of a connected signed graph, with witnesses.
+
+    Made by `power`.  Read-only; each attribute but `n` is built on
+    first read and then kept.
+    """
+
+    def __init__(self, g: SignedGraph, n: int):
+        self.__dict__.update(n=n, _g=g)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"PowerResult is read-only; cannot set {name!r}")
+
+    @cached_property
+    def unique(self) -> bool:
+        return is_power_unique(self._g, self.n)
+
+    @cached_property
+    def witnesses_max(self) -> Witnesses:
+        return _LazyWitnesses(self._g, self.n, _SIGMA_MAX)
+
+    @cached_property
+    def witnesses_min(self) -> Witnesses:
+        return _LazyWitnesses(self._g, self.n, _SIGMA_MIN)
+
+    @cached_property
+    def power_max(self) -> SignedGraph:
+        return self._power(_SIGMA_MAX)
+
+    @cached_property
+    def power_min(self) -> SignedGraph:
+        return self._power(_SIGMA_MIN)
+
+    @cached_property
+    def _close(self) -> tuple[list[int], list[int], list[int]]:
+        return _close_pairs(self._g, self.n)  # shared by both powers
+
+    def _power(self, sigma: tuple[int, ...]) -> SignedGraph:
+        us, vs, ms = self._close
+        return SignedGraph(self._g.vertex_count, zip(us, vs, map(sigma.__getitem__, ms)))
 
 
 def power(g: SignedGraph, n: int) -> PowerResult:
-    """Both n-th powers of a connected signed graph, with witnesses."""
+    """Both n-th powers of a connected signed graph, with witnesses.
+
+    Raises BadExponentError and DisconnectedError here; the powers, the
+    uniqueness flag and the witnesses are built when first read.
+    """
+    if n < 1:
+        raise BadExponentError(f"power exponent must be >= 1, got {n}")
+    _reach_table(g)  # a disconnected graph raises here, not on first read
+    return PowerResult(g, n)
+
+
+def first_incompatible_pair_within(g: SignedGraph, n: int) -> tuple[int, int] | None:
+    """Lexicographically first pair u < v at distance <= n with shortest
+    paths of both signs: the first edge where the max and min n-th powers
+    differ.  None when the n-th power is unique."""
     if n < 1:
         raise BadExponentError(f"power exponent must be >= 1, got {n}")
     dist, mask = _reach_table(g)
-    edges_max = []
-    edges_min = []
-    unique = True
-    for u, (drow, mrow) in enumerate(zip(dist.tolist(), mask.tolist())):
-        for v in range(u + 1, g.vertex_count):
-            if drow[v] > n:
-                continue
-            m = mrow[v]
-            if m == _BOTH:
-                unique = False
-            edges_max.append((u, v, _SIGMA_MAX[m]))
-            edges_min.append((u, v, _SIGMA_MIN[m]))
-    power_max = SignedGraph(g.vertex_count, edges_max)
-    power_min = SignedGraph(g.vertex_count, edges_min)
-    return PowerResult(
-        n=n,
-        power_max=power_max,
-        power_min=power_min,
-        unique=unique,
-        # the powers' edge-sign maps are exactly the witness keys and signs
-        witnesses_max=_LazyWitnesses(g, power_max._sign_by_pair),
-        witnesses_min=_LazyWitnesses(g, power_min._sign_by_pair),
-    )
+    bad = ((mask == _BOTH) & (dist <= n)).ravel()
+    # the first hit in row-major order has u < v, as both arrays are symmetric
+    i = int(bad.argmax())
+    return divmod(i, g.vertex_count) if bad[i] else None
 
 
 def is_power_unique(g: SignedGraph, n: int) -> bool:
     """True iff every pair at distance in (0, n] is compatible."""
-    if n < 1:
-        raise BadExponentError(f"power exponent must be >= 1, got {n}")
-    dist, mask = _reach_table(g)
-    return not ((mask == _BOTH) & (dist <= n)).any()
+    return first_incompatible_pair_within(g, n) is None
 
 
 def associated_complete(g: SignedGraph, mode: str) -> SignedGraph:

@@ -4,12 +4,26 @@ Exit code contract: 0 success, 1 domain error (error name on stderr),
 2 usage error (argparse).
 """
 
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sgpower import parse_graph, serialize_graph
+from sgpower import parse_graph, power, serialize_graph
 from sgpower.cli import main
+from sgpower.harness import THEOREM_ORDER
 
-from conftest import all_negative_cycle, c4_one_negative, complete_graph, cycle_graph
+from conftest import (
+    all_negative_cycle,
+    c4_one_negative,
+    complete_graph,
+    connected_signed_graphs,
+    cycle_graph,
+)
 
 
 @pytest.fixture
@@ -30,6 +44,17 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_captured(argv):
+    """(exit code, stdout, stderr) of one `main` call, usage errors included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
 # -- info / distance ---------------------------------------------------------------
@@ -82,6 +107,25 @@ def test_power_unique_failure_names_the_pair(capsys, c4_file):
     assert out == ""
     assert err.startswith("NonUniquePower:")
     assert "incompatible pair 0 2 at distance <= 2" in err
+
+
+@given(connected_signed_graphs(), st.integers(1, 4))
+@settings(max_examples=60, deadline=None)
+def test_power_unique_failure_names_the_first_edge_where_the_powers_differ(g, n):
+    pr = power(g, n)
+    pair = next(
+        ((u, v) for (u, v, a), (_, _, b) in zip(pr.power_max.edges, pr.power_min.edges) if a != b),
+        None,
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        f = Path(tmp) / "g.sg"
+        f.write_text(serialize_graph(g))
+        code, out, err = run_captured(["power", "-n", str(n), str(f)])
+    if pair is None:
+        assert code == 0 and parse_graph(out) == pr.power_max and err == ""
+    else:
+        assert code == 1 and out == ""
+        assert err == f"NonUniquePower: incompatible pair {pair[0]} {pair[1]} at distance <= {n}\n"
 
 
 def test_power_max_mode_allows_ambiguity(capsys, c4_file):
@@ -274,3 +318,98 @@ def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as e:
         main(["power", "--mode", "sideways", "x.sg"])
     assert e.value.code == 2
+
+
+# -- the exit-code contract under fuzzing ------------------------------------------------
+
+_INDEX = st.sampled_from(["0", "1", "2", "3", "5", "-1", "9", "x"])
+_EDGE_LINE = st.builds(
+    lambda u, v, sign: f"{u} {v} {sign}",
+    _INDEX,
+    _INDEX,
+    st.sampled_from(["+", "-", "1", "-1", "0", "x"]),
+)
+_GRAPH_TEXT = st.one_of(
+    st.builds(serialize_graph, connected_signed_graphs(max_vertices=6)),
+    st.builds(
+        lambda header, count, lines: "\n".join([header, count, *lines]) + "\n",
+        st.sampled_from(["sg 1", "sg 1", "sg 2", ""]),
+        st.sampled_from(["n 1", "n 3", "n 5", "n 6", "n 0", "n -2", "n x", "0 1 +"]),
+        st.lists(st.one_of(_EDGE_LINE, st.sampled_from(["# note", "0 1", "0 1 + +"])), max_size=10),
+    ),
+)
+_SPEC_TEXT = st.builds(
+    lambda lines: "\n".join(lines) + "\n",
+    st.one_of(
+        st.tuples(
+            st.sampled_from(["seed = 3", "seed = 8"]),
+            st.sampled_from(["min_vertices = 2", "min_vertices = 4"]),
+            st.sampled_from(["max_vertices = 4", "max_vertices = 6"]),
+            st.sampled_from(["edge_probability = 0", "edge_probability = 0.5"]),
+            st.sampled_from(["trials = 1", "trials = 3"]),
+            st.sampled_from(["", "require = two_connected, balanced", "require = compatible"]),
+        ),
+        st.lists(
+            st.sampled_from(
+                ["seed = 3", "seed = x", "min_vertices = 2", "min_vertices = 1",
+                 "max_vertices = 5", "max_vertices = 1", "edge_probability = 0.5",
+                 "edge_probability = 2", "trials = 2", "trials = 0", "require = balanced",
+                 "require = compatible, two_connected", "require = bogus", "nonsense"]
+            ),
+            max_size=7,
+        ),
+    ),
+)
+_EXPONENT = st.sampled_from(["1", "2", "2", "3", "99", "0", "-1", "x"])
+_PATH = st.sampled_from(["0,1,2", "0,2", "2,0", "0", "", "0,0", "0,9", "-1,0", "0,x", "1,2,3,4"])
+_REQUIRED = ("-n", "--path")
+_OPTIONS = {
+    "info": {},
+    "distance": {"--mode": st.sampled_from(["max", "min", "both", "x"])},
+    "power": {"-n": _EXPONENT, "--mode": st.sampled_from(["max", "min", "unique", "x"])},
+    "complete": {"--mode": st.sampled_from(["max", "min", "pm", "x"])},
+    "balance": {},
+    "compatible": {},
+    "spectrum": {"--complete-pm": st.none(), "--tol": st.sampled_from(["1e-9", "0", "inf", "nan", "x"])},
+    "lift": {"-n": _EXPONENT, "--path": _PATH},
+    "project": {"-n": _EXPONENT, "--path": _PATH},
+    "verify": {
+        "--theorem": st.sampled_from([*THEOREM_ORDER, "all", "t99"]),
+        "--seed": st.sampled_from(["0", "7", "x"]),
+        "--max-vertices": st.sampled_from(["2", "3", "5"]),
+    },
+    "generate": {},
+}
+
+
+@st.composite
+def _invocations(draw):
+    """(argv, file text): a subcommand, a subset of its options, and a file operand."""
+    command = draw(st.sampled_from([*_OPTIONS, "bogus"]))
+    argv = [command]
+    if command == "verify":  # always bounded: the default 100 trials take seconds
+        argv += ["--trials", draw(st.sampled_from(["1", "2", "0", "x"]))]
+    for flag, values in _OPTIONS.get(command, {}).items():
+        if draw(st.booleans()) or (flag in _REQUIRED and draw(st.integers(0, 9)) > 0):
+            value = draw(values)
+            argv += [flag] if value is None else [flag, value]
+    text = draw(_SPEC_TEXT if command == "generate" else _GRAPH_TEXT)
+    operand = draw(st.sampled_from(["FILE"] * 6 + ["MISSING", "DIR", None, "--bogus"]))
+    if command != "verify" and operand is not None:
+        argv.append(operand)
+    return argv, text
+
+
+@given(_invocations())
+@settings(max_examples=250, deadline=None)
+def test_every_invocation_exits_0_1_or_2_with_at_most_one_stderr_line(invocation):
+    argv, text = invocation
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "input").write_text(text)
+        files = {"FILE": "input", "MISSING": "absent.sg", "DIR": "."}
+        argv = [str(Path(tmp) / files[a]) if a in files else a for a in argv]
+        if argv[0] == "verify":
+            argv += ["--bundle", str(Path(tmp) / "bundle")]
+        code, _, err = run_captured(argv)
+    assert code in (0, 1, 2), (argv, text, code, err)
+    assert len(err.splitlines()) <= 1 and "Traceback" not in err, (argv, text, err)

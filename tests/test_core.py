@@ -13,8 +13,8 @@ from sgpower import (
     VertexOutOfRangeError,
     is_connected,
     is_two_connected,
-    new_signed_graph,
     path_sign,
+    serialize_graph,
     switch,
     walk_sign,
 )
@@ -40,8 +40,14 @@ def test_edges_are_canonical_and_sorted():
     assert g.has_edge(1, 3) and not g.has_edge(2, 3)
 
 
-def test_new_signed_graph_is_the_constructor():
-    assert new_signed_graph(2, [(0, 1, 1)]) == SignedGraph(2, [(0, 1, 1)])
+def test_adjacency_is_built_by_the_first_walk_only():
+    g = SignedGraph(4, [(2, 0, -1), (3, 1, 1), (0, 1, 1)])
+    assert g == SignedGraph(4, g.edges) and hash(g) and g.sign(0, 2) == -1
+    assert serialize_graph(g) and repr(g)
+    assert g._adjacency is None
+    cached = set(g._cache)
+    assert g.neighbors(0) == ((1, 1), (2, -1)) and g.degree(3) == 1
+    assert g._adjacency is not None and set(g._cache) == cached  # kept in its own slot
 
 
 def test_vertex_count_must_be_positive():

@@ -9,18 +9,21 @@ max-completion of the cycle itself.
 import importlib
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgpower import (
     BadExponentError,
+    DisconnectedError,
     NotCompatibleError,
     PreconditionViolatedError,
     SignedGraph,
     associated_complete,
     check_diameter_power_theorem,
     diameter,
+    first_incompatible_pair_within,
     is_balanced,
     is_compatible,
     is_power_unique,
@@ -42,6 +45,11 @@ from conftest import (
 )
 
 
+def test_power_of_a_disconnected_graph_raises_at_call_time():
+    with pytest.raises(DisconnectedError):
+        power(SignedGraph(3, [(0, 1, 1)]), 2)
+
+
 def test_exponent_must_be_at_least_one():
     g = path_graph([1])
     for bad in (0, -2):
@@ -49,6 +57,8 @@ def test_exponent_must_be_at_least_one():
             power(g, bad)
         with pytest.raises(BadExponentError):
             is_power_unique(g, bad)
+        with pytest.raises(BadExponentError):
+            first_incompatible_pair_within(g, bad)
         with pytest.raises(BadExponentError):
             check_diameter_power_theorem(g, bad)
 
@@ -113,7 +123,8 @@ def test_lazy_witnesses_equal_the_eager_ones(g, n):
     pr = power(g, n)
     for h, witnesses in ((pr.power_max, pr.witnesses_max), (pr.power_min, pr.witnesses_min)):
         eager = {(u, v): shortest_path_with_sign(g, u, v, s) for u, v, s in h.edges}
-        assert list(witnesses) == list(eager)
+        assert list(witnesses) == list(eager) == list(h._sign_by_pair)
+        assert len(witnesses) == len(eager)
         assert dict(witnesses) == eager
 
 
@@ -139,6 +150,40 @@ def test_power_builds_no_witness_until_one_is_read(monkeypatch):
     assert dict(pr.witnesses_min) == witnesses  # the square of C7 is unique
     with pytest.raises(TypeError):
         pr.witnesses_max[(0, 1)] = (0, 1)
+    with pytest.raises(AttributeError):
+        pr.unique = False
+
+
+def test_reading_uniqueness_and_witnesses_builds_no_graph(monkeypatch):
+    g = all_negative_cycle(7)
+    built = []
+    init = SignedGraph.__init__
+
+    def counting(self, vertex_count, edges=()):
+        built.append(vertex_count)
+        init(self, vertex_count, edges)
+
+    monkeypatch.setattr(SignedGraph, "__init__", counting)
+    pr = power(g, 2)
+    assert pr.unique
+    assert len(pr.witnesses_max) == 14 and (0, 2) in pr.witnesses_max
+    assert pr.witnesses_max[(0, 2)] == (0, 1, 2)
+    assert pr.witnesses_min.get((0, 2)) == (0, 1, 2)
+    assert built == []
+    assert pr.power_max.edge_count == 14 and pr.power_max is pr.power_max
+    assert built == [7]  # built on first read, then kept
+
+
+def test_witness_map_holds_only_the_power_edges():
+    witnesses = power(all_negative_cycle(7), 2).witnesses_max
+    assert witnesses[(0, 2)] == (0, 1, 2)  # built first: the checks below pass it by
+    for key in ((2, 0), (0, 0), (0, 3), (5, 7), (-1, 1), (7, 9), [0, 2], "02", 2, (0, 1, 2), None):
+        assert key not in witnesses
+        with pytest.raises(KeyError):
+            witnesses[key]
+        assert witnesses.get(key) is None
+    key = (np.int64(1), np.int64(3))  # equal and hash-equal to (1, 3), as in a dict
+    assert key in witnesses and witnesses[key] == (1, 2, 3)
 
 
 def test_first_power_is_the_graph_itself():
