@@ -88,7 +88,7 @@ def main() -> None:
     # sanity: the distance matrices of the 7-cycle itself are equal
     g = all_negative_cycle(7)
     dmax, dmin = distance_matrices(g)
-    assert dmax == dmin, "the base cycle must be compatible"
+    assert (dmax == dmin).all(), "the base cycle must be compatible"
 
 
 if __name__ == "__main__":

@@ -25,7 +25,6 @@ from .core import (
 from .distance import (
     PathSigns,
     Reach,
-    SignedDistanceMatrix,
     diameter,
     distance_matrices,
     first_incompatible_pair,

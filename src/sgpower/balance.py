@@ -23,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
+import numpy as np
+
 from .core import (
     BadExponentError,
     DisconnectedError,
@@ -33,8 +35,9 @@ from .core import (
     NotTwoConnectedError,
     PreconditionViolatedError,
     SignedGraph,
+    bfs,
     is_two_connected,
-    walk_sign,
+    path_sign,
 )
 from .distance import diameter, distance_matrices, first_incompatible_pair, is_compatible
 from .power import Witnesses, associated_complete, is_power_unique, power
@@ -64,27 +67,12 @@ def is_balanced(g: SignedGraph) -> BalanceReport:
     Balanced: returns the switching labels, with label(0) = +1.
     Unbalanced: returns a negative cycle as a closed vertex sequence.
     """
-    n = g.vertex_count
-    label = [0] * n
-    parent = [-1] * n
-    depth = [0] * n
-    label[0] = 1
-    frontier = [0]
-    seen = 1
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for y, s in g.neighbors(x):
-                if label[y] == 0:
-                    label[y] = label[x] * s
-                    parent[y] = x
-                    depth[y] = depth[x] + 1
-                    seen += 1
-                    nxt.append(y)
-        frontier = nxt
-    if seen < n:
-        missing = next(v for v in range(n) if label[v] == 0)
-        raise DisconnectedError(f"vertex {missing} unreachable from 0")
+    order, depth, parent = bfs(g)
+    if len(order) < g.vertex_count:
+        raise DisconnectedError(f"vertex {depth.index(-1)} unreachable from 0")
+    label = [1] * g.vertex_count
+    for y in order[1:]:  # the root, 0, keeps label +1; a parent comes before its children
+        label[y] = label[parent[y]] * g.sign(parent[y], y)
     for u, v, s in g.edges:
         if label[u] * label[v] != s:
             return BalanceReport(balanced=False, witness=_tree_cycle(parent, depth, u, v))
@@ -111,12 +99,6 @@ def _tree_cycle(parent: list[int], depth: list[int], u: int, v: int) -> tuple[in
     return tuple(up_u + up_v[::-1][1:] + [u])
 
 
-def _check_path(g: SignedGraph, p: Sequence[int]) -> None:
-    if len(set(p)) != len(p):
-        raise NotAPathError("repeated vertex; not a path")
-    walk_sign(g, p)  # validates membership and adjacency
-
-
 def lift_path(g: SignedGraph, p: Sequence[int], n: int) -> tuple[int, ...]:
     """Path of the unique n-th power covering p by blocks of n edges.
 
@@ -126,7 +108,7 @@ def lift_path(g: SignedGraph, p: Sequence[int], n: int) -> tuple[int, ...]:
     """
     if n < 1:
         raise BadExponentError(f"power exponent must be >= 1, got {n}")
-    _check_path(g, p)
+    path_sign(g, p)  # validates p
     if not is_power_unique(g, n):
         raise NonUniquePowerError(f"the {n}-th power of the graph is not unique")
     lifted = list(p[::n])
@@ -172,7 +154,7 @@ def verify_nbc(g: SignedGraph) -> CheckOutcome:
     s2 = is_balanced(associated_complete(g, "max")).balanced
     s3 = is_balanced(associated_complete(g, "min")).balanced
     dmax, dmin = distance_matrices(g)
-    if dmax == dmin:
+    if np.array_equal(dmax, dmin):
         s4 = is_balanced(associated_complete(g, "pm")).balanced
     else:
         s4 = False

@@ -13,6 +13,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import harness
 from .balance import is_balanced, lift_path, project_path
 from .core import (
@@ -103,11 +105,11 @@ def _cmd_distance(args) -> int:
     if args.mode in ("max", "both"):
         if args.mode == "both":
             print("# max")
-        _print_matrix(dmax.entries)
+        _print_matrix(dmax)
     if args.mode in ("min", "both"):
         if args.mode == "both":
             print("# min")
-        _print_matrix(dmin.entries)
+        _print_matrix(dmin)
     return 0
 
 
@@ -169,9 +171,10 @@ def _cmd_spectrum(args) -> int:
 def _cmd_lift(args) -> int:
     g = _load(args.file)
     lifted = lift_path(g, args.path, args.n)
-    pr = power(g, args.n)
+    # each step joins a pair at distance <= n, whose max-power sign is that of D_max
+    steps = distance_matrices(g)[0][lifted[:-1], lifted[1:]]
     print("path " + " ".join(str(v) for v in lifted))
-    print("sign " + _sign_char(walk_sign(pr.power_max, lifted)))
+    print("sign " + _sign_char(np.sign(steps).prod()))
     return 0
 
 

@@ -197,27 +197,38 @@ def switch(g: SignedGraph, vertices: Iterable[int]) -> SignedGraph:
     return SignedGraph(g.vertex_count, edges)
 
 
-def is_connected(g: SignedGraph) -> bool:
-    seen = [False] * g.vertex_count
-    seen[0] = True
-    stack = [0]
-    count = 1
-    while stack:
-        x = stack.pop()
+def bfs(g: SignedGraph, source: int = 0) -> tuple[list[int], list[int], list[int]]:
+    """Breadth-first search from `source`, visiting neighbors in ascending order.
+
+    Returns (order, dist, parent): the reached vertices in the order a
+    FIFO queue visits them (so by nondecreasing distance), the hop
+    distance of each vertex and its parent in the BFS tree, both -1 for
+    an unreached vertex (the source's parent is -1 too).  It walks the
+    adjacency lists and never reads the all-pairs sign table, so the
+    oracle stays independent of the kernel it checks.
+    """
+    g._check_vertex(source)
+    dist = [-1] * g.vertex_count
+    parent = [-1] * g.vertex_count
+    dist[source] = 0
+    order = [source]
+    for x in order:  # the list is the queue: vertices are appended behind x
         for y, _ in g.neighbors(x):
-            if not seen[y]:
-                seen[y] = True
-                count += 1
-                stack.append(y)
-    return count == g.vertex_count
+            if dist[y] < 0:
+                dist[y] = dist[x] + 1
+                parent[y] = x
+                order.append(y)
+    return order, dist, parent
+
+
+def is_connected(g: SignedGraph) -> bool:
+    return len(bfs(g)[0]) == g.vertex_count
 
 
 def is_two_connected(g: SignedGraph) -> bool:
     """True iff g has at least 3 vertices, is connected, and has no cut vertex."""
     n = g.vertex_count
     if n < 3:
-        return False
-    if not is_connected(g):
         return False
     # iterative DFS low-point computation rooted at 0
     disc = [-1] * n
@@ -250,7 +261,7 @@ def is_two_connected(g: SignedGraph) -> bool:
                 low[p] = min(low[p], low[x])
                 if p != 0 and low[x] >= disc[p]:
                     return False  # p is a cut vertex
-    return root_children < 2
+    return root_children < 2 and -1 not in disc  # disc[v] == -1: v not reached
 
 
 def walk_sign(g: SignedGraph, walk: Sequence[int]) -> int:

@@ -175,29 +175,14 @@ def sign_reachability(g: SignedGraph, source: int) -> list[Reach]:
     return [Reach(d, _SIGNS[m]) for d, m in zip(dist[source].tolist(), mask[source].tolist())]
 
 
-@dataclass(eq=False, frozen=True)
-class SignedDistanceMatrix:
-    """Square integer matrix with entry (u, v) = sign * distance."""
-
-    entries: np.ndarray
-
-    @property
-    def order(self) -> int:
-        return self.entries.shape[0]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SignedDistanceMatrix):
-            return NotImplemented
-        return bool(np.array_equal(self.entries, other.entries))
-
-
-def distance_matrices(g: SignedGraph) -> tuple[SignedDistanceMatrix, SignedDistanceMatrix]:
-    """(D_max, D_min) for a connected graph."""
+def distance_matrices(g: SignedGraph) -> tuple[np.ndarray, np.ndarray]:
+    """(D_max, D_min) of a connected graph: int64 V x V arrays whose entry
+    (u, v) is sigma_max(u, v) * d(u, v), resp. sigma_min(u, v) * d(u, v)."""
     dist, mask = _reach_table(g)
     d = dist.astype(np.int64)
     dmax = np.where(mask & _POS, d, -d)
     dmin = np.where(mask & _NEG, -d, d)
-    return SignedDistanceMatrix(dmax), SignedDistanceMatrix(dmin)
+    return dmax, dmin
 
 
 def is_compatible_pair(g: SignedGraph, u: int, v: int) -> bool:

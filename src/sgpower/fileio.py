@@ -7,10 +7,12 @@ Graph file format, one item per line:
     n <count>       number of vertices (0-based indices)
     <u> <v> <s>     one edge per line; s is one of +  -  1  -1
 
-Unknown tokens are errors.  Parse errors carry the 1-based line number;
-semantic edge errors (loops, duplicates, bad signs, out-of-range ends)
-are raised as their ordinary graph construction errors with the line
-number in the message.
+Unknown tokens are errors.  Parse errors carry the 1-based line number.
+The parser checks only the syntax and the sign tokens and streams the
+edges into the `SignedGraph` constructor, one line at a time; the
+constructor's edge errors (loops, duplicates, out-of-range ends) are
+re-raised as the same error types with the line number in front, so the
+first bad line is the one reported.
 
 Corpus spec files are `key = value` lines (# comments allowed) with
 keys: seed, min_vertices, max_vertices, edge_probability, trials and
@@ -65,31 +67,27 @@ def parse_graph(text: str) -> SignedGraph:
         raise GraphSyntaxError(ln, f"vertex count {fields[1]!r} is not an integer") from None
     if vertex_count < 1:
         raise GraphSyntaxError(ln, "vertex count must be positive")
-    edges: list[tuple[int, int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    for ln, line in significant[2:]:
-        fields = line.split()
-        if len(fields) != 3:
-            raise GraphSyntaxError(ln, f"expected '<u> <v> <sign>', got {line!r}")
-        try:
-            u, v = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise GraphSyntaxError(ln, f"bad vertex index in {line!r}") from None
-        sign = SIGN_TOKENS.get(fields[2])
-        if sign is None:
-            raise BadSignError(f"line {ln}: sign token {fields[2]!r}; use +, -, 1 or -1")
-        if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-            raise VertexOutOfRangeError(
-                f"line {ln}: edge ({u}, {v}) outside [0, {vertex_count})"
-            )
-        if u == v:
-            raise LoopEdgeError(f"line {ln}: loop edge at vertex {u}")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise DuplicateEdgeError(f"line {ln}: edge {key} appears more than once")
-        seen.add(key)
-        edges.append((u, v, sign))
-    return SignedGraph(vertex_count, edges)
+
+    def edges():  # syntax and sign tokens only; the constructor checks the rest
+        nonlocal ln
+        for ln, line in significant[2:]:
+            fields = line.split()
+            if len(fields) != 3:
+                raise GraphSyntaxError(ln, f"expected '<u> <v> <sign>', got {line!r}")
+            try:
+                u, v = int(fields[0]), int(fields[1])
+            except ValueError:
+                raise GraphSyntaxError(ln, f"bad vertex index in {line!r}") from None
+            sign = SIGN_TOKENS.get(fields[2])
+            if sign is None:
+                raise BadSignError(f"line {ln}: sign token {fields[2]!r}; use +, -, 1 or -1")
+            yield u, v, sign
+
+    try:
+        return SignedGraph(vertex_count, edges())
+    except (VertexOutOfRangeError, LoopEdgeError, DuplicateEdgeError) as exc:
+        # the constructor consumes one line at a time, so `ln` is the bad edge's line
+        raise type(exc)(f"line {ln}: {exc}") from None
 
 
 def serialize_graph(g: SignedGraph, comments: tuple[str, ...] = ()) -> str:

@@ -229,41 +229,31 @@ _CHECKS = {
 }
 
 
+# theorem key -> the corpora its trials draw from, in turn: (least vertex
+# count, edge probability, requirements) each
+_CORPORA = {
+    "t27": [(4, 0.3, ("connected",))],
+    "blcm": [(3, 0.5, ("two_connected", "balanced"))],
+    # balanced and unrestricted trials alternate, so both directions of the
+    # equivalence get exercised
+    "cbp": [(3, 0.5, ("two_connected", "balanced")), (3, 0.5, ("two_connected",))],
+    "sgs": [(2, 0.25, ("compatible",))],
+}
+_DEFAULT_CORPORA = [(3, 0.35, ("connected",))]
+
+
 def _corpus_graphs(theorem: str, trials: int, seed: int, max_vertices: int):
     """Deterministic trial graph stream for one theorem key."""
-    idx = THEOREM_ORDER.index(theorem)
-    base = seed * 1000 + idx
-    small = max(3, min(4, max_vertices))
-    if theorem in ("blcm",):
-        spec = CorpusSpec(base, (3, max_vertices), 0.5, frozenset({"two_connected", "balanced"}), trials)
-        yield from generate(spec)
-    elif theorem == "cbp":
-        # alternate balanced and unrestricted trials so both directions
-        # of the equivalence get exercised
-        half = (trials + 1) // 2
-        bal = generate(
-            CorpusSpec(base, (3, max_vertices), 0.5, frozenset({"two_connected", "balanced"}), half)
-        )
-        plain = (
-            generate(
-                CorpusSpec(
-                    base + 500, (3, max_vertices), 0.5, frozenset({"two_connected"}), trials - half
-                )
-            )
-            if trials > half
-            else iter(())
-        )
-        for i in range(trials):
-            yield next(bal if i % 2 == 0 else plain)
-    elif theorem == "sgs":
-        spec = CorpusSpec(base, (2, max_vertices), 0.25, frozenset({"compatible"}), trials)
-        yield from generate(spec)
-    elif theorem == "t27":
-        spec = CorpusSpec(base, (small, max_vertices), 0.3, frozenset({"connected"}), trials)
-        yield from generate(spec)
-    else:
-        spec = CorpusSpec(base, (3, max_vertices), 0.35, frozenset({"connected"}), trials)
-        yield from generate(spec)
+    base = seed * 1000 + THEOREM_ORDER.index(theorem)
+    # each corpus declares all `trials` trials, though it yields only those taken
+    # from it: `generate` seeds trial i from the spec's seed and i alone
+    streams = []
+    for k, (least, p, require) in enumerate(_CORPORA.get(theorem, _DEFAULT_CORPORA)):
+        lo = min(least, max(3, max_vertices))  # t27's least of 4 gives way to max_vertices 3
+        spec = CorpusSpec(base + 500 * k, (lo, max_vertices), p, frozenset(require), trials)
+        streams.append(generate(spec))
+    for i in range(trials):
+        yield next(streams[i % len(streams)])
 
 
 def run_theorem(theorem: str, trials: int, seed: int, max_vertices: int = 8) -> TheoremReport:

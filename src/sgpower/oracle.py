@@ -26,7 +26,9 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .balance import is_balanced
-from .core import DisconnectedError, SignedGraph, SignedGraphError, is_connected, is_two_connected, switch
+from .core import (
+    DisconnectedError, SignedGraph, SignedGraphError, bfs, is_connected, is_two_connected, switch
+)
 from .distance import PathSigns, is_compatible
 
 
@@ -44,21 +46,6 @@ _ATTEMPTS_PER_TRIAL = 2000
 REQUIREMENTS = ("balanced", "compatible", "connected", "two_connected")
 
 
-def _bfs_distances(g: SignedGraph, source: int) -> list[int]:
-    dist = [-1] * g.vertex_count
-    dist[source] = 0
-    frontier = [source]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for y, _ in g.neighbors(x):
-                if dist[y] < 0:
-                    dist[y] = dist[x] + 1
-                    nxt.append(y)
-        frontier = nxt
-    return dist
-
-
 def enumerate_shortest_paths(
     g: SignedGraph, u: int, v: int, max_paths: int = MAX_ORACLE_PATHS
 ) -> list[tuple[int, ...]]:
@@ -69,10 +56,10 @@ def enumerate_shortest_paths(
     """
     g._check_vertex(u)
     g._check_vertex(v)
-    du = _bfs_distances(g, u)
+    du = bfs(g, u)[1]
     if du[v] < 0:
         raise DisconnectedError(f"vertex {v} unreachable from {u}")
-    dv = _bfs_distances(g, v)
+    dv = bfs(g, v)[1]
     d = du[v]
     paths: list[tuple[int, ...]] = []
     prefix = [u]
@@ -116,15 +103,13 @@ def oracle_signs(g: SignedGraph, u: int, v: int, max_paths: int = MAX_ORACLE_PAT
 
 def count_shortest_paths(g: SignedGraph, u: int, v: int) -> int:
     """Number of shortest u-v paths by DP over the BFS DAG (no enumeration)."""
-    du = _bfs_distances(g, u)
+    g._check_vertex(v)
+    order, du, _ = bfs(g, u)
     if du[v] < 0:
         raise DisconnectedError(f"vertex {v} unreachable from {u}")
-    order = sorted(range(g.vertex_count), key=lambda x: du[x])
     count = [0] * g.vertex_count
     count[u] = 1
-    for x in order:
-        if x == u or du[x] < 0:
-            continue
+    for x in order[1:]:  # by distance from u, so each x comes after its predecessors
         count[x] = sum(count[w] for w, _ in g.neighbors(x) if du[w] == du[x] - 1)
     return count[v]
 

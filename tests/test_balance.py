@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from sgpower import (
     BadExponentError,
+    DisconnectedError,
     MissingWitnessError,
     NonUniquePowerError,
     NotAPathError,
@@ -76,6 +77,12 @@ def test_balance_certificates_check_out(g):
 def test_trees_are_balanced():
     assert is_balanced(path_graph([-1, -1, 1])).balanced
     assert is_balanced(SignedGraph(1)).balanced
+
+
+def test_disconnected_graph_names_the_first_unreached_vertex():
+    g = SignedGraph(5, [(0, 2, 1), (2, 4, -1), (1, 3, 1)])
+    with pytest.raises(DisconnectedError, match="^vertex 1 unreachable from 0$"):
+        is_balanced(g)
 
 
 def test_negative_cycle_witness_is_the_cycle():

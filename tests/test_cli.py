@@ -5,19 +5,22 @@ Exit code contract: 0 success, 1 domain error (error name on stderr),
 """
 
 import contextlib
+import hashlib
 import io
+import json
 import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sgpower import parse_graph, power, serialize_graph
+from sgpower import lift_path, parse_graph, power, serialize_graph, walk_sign
 from sgpower.cli import main
 from sgpower.harness import THEOREM_ORDER
 
 from conftest import (
+    ROOT,
     all_negative_cycle,
     c4_one_negative,
     complete_graph,
@@ -214,6 +217,27 @@ def test_lift_and_project(capsys, tmp_path):
     assert out.splitlines() == ["walk 0 1 2 3 4", "sign -"]
 
 
+@given(connected_signed_graphs(max_vertices=7), st.integers(1, 3), st.data())
+@settings(max_examples=60, deadline=None)
+def test_lift_sign_is_the_walk_sign_in_the_max_power(g, n, data):
+    assume(power(g, n).unique)
+    path = [data.draw(st.integers(0, g.vertex_count - 1))]  # a random simple path
+    for _ in range(data.draw(st.integers(0, g.vertex_count - 1))):
+        steps = [y for y, _ in g.neighbors(path[-1]) if y not in path]
+        if not steps:
+            break
+        path.append(data.draw(st.sampled_from(steps)))
+    with tempfile.TemporaryDirectory() as tmp:
+        f = Path(tmp) / "g.sg"
+        f.write_text(serialize_graph(g))
+        argv = ["lift", "-n", str(n), "--path", ",".join(map(str, path)), str(f)]
+        code, out, err = run_captured(argv)
+    lifted = lift_path(g, path, n)
+    sign = "+" if walk_sign(power(g, n).power_max, lifted) > 0 else "-"
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["path " + " ".join(map(str, lifted)), "sign " + sign]
+
+
 def test_lift_error_paths(capsys, c4_file):
     code, _, err = run(capsys, "lift", "-n", "2", "--path", "0,1,2", c4_file)
     assert code == 1
@@ -262,6 +286,45 @@ def test_generate_streams_graphs(capsys, tmp_path):
     for i, block in enumerate(blocks):
         assert f"# trial {i}" in block
         parse_graph(block)
+
+
+# -- byte-identity gates ------------------------------------------------------------
+
+# `verify --theorem all --trials 200 --seed 42`: stdout, and a digest of the
+# bundle (each file's name and bytes, in name order)
+REFERENCE_VERIFY_STDOUT = """\
+t1 200/200
+diam 200/200
+l1 200/200 (skipped_non_unique=213)
+le 200/200 (skipped_non_unique=305)
+t27 200/200
+blcm 200/200
+l3 178/200
+cbp 200/200 (non_unique=83)
+sgs 200/200
+nbc 200/200
+result FAIL l3
+"""
+REFERENCE_BUNDLE_SHA256 = "a834fdbe4cfef8b5b24ddea3a2a6467fc68568e95f5b7c4e34f031a11a2a3eff"
+
+# stdout of `sgpower <command> data/<file>`, keyed "<command> <file>"
+GOLDEN_CLI = json.loads((ROOT / "tests" / "golden_cli.json").read_text())
+
+
+def test_reference_verify_run_is_pinned(tmp_path):
+    argv = ["verify", "--theorem", "all", "--trials", "200", "--seed", "42"]
+    code, out, _ = run_captured([*argv, "--bundle", str(tmp_path)])
+    assert (code, out) == (1, REFERENCE_VERIFY_STDOUT)
+    digest = hashlib.sha256()
+    for f in sorted(tmp_path.iterdir()):
+        digest.update(f.name.encode() + b"\0" + f.read_bytes() + b"\0")
+    assert digest.hexdigest() == REFERENCE_BUNDLE_SHA256
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_CLI))
+def test_cli_output_on_the_data_files_is_pinned(command):
+    *argv, name = command.split()
+    assert run_captured([*argv, str(ROOT / "data" / name)]) == (0, GOLDEN_CLI[command], "")
 
 
 # -- error handling -----------------------------------------------------------------

@@ -146,6 +146,11 @@ def test_two_connected_basics():
         5, [(0, 1, 1), (0, 2, 1), (1, 2, 1), (2, 3, 1), (2, 4, 1), (3, 4, 1)]
     )
     assert not is_two_connected(bowtie)
+    # no cut vertex, but not connected
+    triangle_and_isolated = SignedGraph(4, [(0, 1, 1), (0, 2, 1), (1, 2, -1)])
+    assert not is_two_connected(triangle_and_isolated)
+    two_triangles = SignedGraph(6, [(0, 1, 1), (0, 2, 1), (1, 2, 1), (3, 4, 1), (3, 5, 1), (4, 5, 1)])
+    assert not is_two_connected(two_triangles)
 
 
 @given(connected_signed_graphs(min_vertices=3, max_vertices=8))

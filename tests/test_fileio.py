@@ -100,13 +100,23 @@ def test_bad_edge_lines_carry_line_numbers():
     assert "line 3" in str(e.value)
     with pytest.raises(VertexOutOfRangeError) as e:
         parse_graph("sg 1\nn 3\n# pad\n0 5 +\n")
-    assert "line 4" in str(e.value)
+    assert str(e.value) == "line 4: edge (0, 5) has an endpoint outside [0, 3)"
     with pytest.raises(LoopEdgeError) as e:
         parse_graph("sg 1\nn 3\n1 1 +\n")
     assert "line 3" in str(e.value)
     with pytest.raises(DuplicateEdgeError) as e:
         parse_graph("sg 1\nn 3\n0 1 +\n1 0 -\n")
     assert "line 4" in str(e.value)
+    # the first bad line wins, whichever check it fails
+    with pytest.raises(DuplicateEdgeError) as e:
+        parse_graph("sg 1\nn 3\n0 1 +\n1 0 -\n0 2\n")
+    assert str(e.value) == "line 4: edge (0, 1) appears more than once"
+    with pytest.raises(GraphSyntaxError) as e:
+        parse_graph("sg 1\nn 3\n0 1 +\n0 2\n1 0 -\n")
+    assert e.value.line == 4
+    with pytest.raises(BadSignError) as e:
+        parse_graph("sg 1\nn 3\n0 1 ?\n0 9 +\n")
+    assert "line 3" in str(e.value)
 
 
 def test_sign_tokens():

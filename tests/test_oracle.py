@@ -13,6 +13,7 @@ from sgpower import (
     PathSigns,
     SignedGraph,
     TooManyPathsError,
+    VertexOutOfRangeError,
     count_shortest_paths,
     enumerate_shortest_paths,
     generate,
@@ -74,6 +75,11 @@ def test_enumeration_requires_reachability():
         enumerate_shortest_paths(g, 0, 2)
     with pytest.raises(DisconnectedError):
         count_shortest_paths(g, 0, 2)
+    for u, v in ((0, 3), (3, 0), (0, -1), (-1, 0)):  # both ends must be vertices
+        with pytest.raises(VertexOutOfRangeError):
+            enumerate_shortest_paths(g, u, v)
+        with pytest.raises(VertexOutOfRangeError):
+            count_shortest_paths(g, u, v)
 
 
 def test_path_counts_grow_on_the_hypercube_like_grid():

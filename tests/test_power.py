@@ -1,9 +1,10 @@
 """Powers, uniqueness, completions, and the diameter collapse.
 
-Includes the pinned counterexample showing that taking the distance
+Includes the pinned counterexamples showing that taking the distance
 completion does not commute with taking powers: the all-negative
 7-cycle has a unique square whose max-completion differs from the
-max-completion of the cycle itself.
+max-completion of the cycle itself, and a 5-vertex graph (the smallest)
+has a unique square whose min-completion differs from its own.
 """
 
 import importlib
@@ -18,6 +19,7 @@ from sgpower import (
     BadExponentError,
     DisconnectedError,
     NotCompatibleError,
+    PathSigns,
     PreconditionViolatedError,
     SignedGraph,
     associated_complete,
@@ -231,6 +233,22 @@ def test_completion_does_not_commute_with_squaring(c7_negative):
     base_min = associated_complete(c7_negative, "min")
     squared_min = associated_complete(power(c7_negative, 2).power_min, "min")
     assert base_min == squared_min
+
+
+def test_min_completion_does_not_commute_with_squaring_on_five_vertices():
+    # an unbalanced triangle 0-1-2 with pendants 3 (at 0) and 4 (at 1);
+    # no graph on 3 or 4 vertices breaks the identity
+    g = SignedGraph(5, [(0, 1, 1), (0, 2, 1), (0, 3, 1), (1, 2, -1), (1, 4, 1)])
+    pr = power(g, 2)
+    assert pr.unique
+    base = associated_complete(g, "min")
+    squared = associated_complete(pr.power_min, "min")
+    differing = [(u, v, s) for u, v, s in base.edges if squared.sign(u, v) != s]
+    assert differing == [(3, 4, 1)]
+    # the only shortest 3-4 path of g is 3-0-1-4 (+); in the square they are
+    # 3-0-4 (+), 3-1-4 (+) and 3-2-4 (-)
+    assert oracle_signs(g, 3, 4) == PathSigns(True, False)
+    assert oracle_signs(pr.power_min, 3, 4) == PathSigns(True, True)
 
 
 def test_completion_commutes_for_balanced_two_connected_graphs():
