@@ -26,6 +26,7 @@ from .core import (
     walk_sign,
 )
 from .distance import (
+    _reach_table,
     diameter,
     distance_matrices,
     first_incompatible_pair,
@@ -171,10 +172,10 @@ def _cmd_spectrum(args) -> int:
 def _cmd_lift(args) -> int:
     g = _load(args.file)
     lifted = lift_path(g, args.path, args.n)
-    # each step joins a pair at distance <= n, whose max-power sign is that of D_max
-    steps = distance_matrices(g)[0][lifted[:-1], lifted[1:]]
+    # a step (distance <= n) is + in the max power iff a shortest path is (mask bit 0)
+    negative = np.count_nonzero(_reach_table(g)[1][lifted[:-1], lifted[1:]] & 1 == 0)
     print("path " + " ".join(str(v) for v in lifted))
-    print("sign " + _sign_char(np.sign(steps).prod()))
+    print("sign " + _sign_char(-1 if negative % 2 else 1))
     return 0
 
 

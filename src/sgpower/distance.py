@@ -28,10 +28,10 @@ keys; everything is integer indexing, so nothing is approximate.
 Cost: a key enters the frontier at most once, so one pass follows each
 of the 4E cover arcs at most once per source: O(V * E) work in
 `diameter` vectorised levels, whatever the diameter.  Memory: 4 V^2
-bytes for `dist`, V^2 for `mask` and 8 V^2 for the key stamps,
-plus one level's candidate arrays, about 30 bytes per candidate and at
-most 4E candidates per source (a transient 370 MiB for a random graph
-of degree 6 at V=1600, whose table keeps 13 MiB).  The result is
+bytes for `dist`, V^2 for `mask` and 8 V^2 for the key stamps, plus
+about 32 bytes per frontier key and 30 per candidate of one run of a
+level (see `_all_sources`).  A random graph of degree 6 at V=3000 peaks
+at about 300 MiB, 110 MiB of it the table.  The result is
 cached on the (immutable) graph as two arrays: `dist` (int32, hop
 distances) and `mask` (uint8, bit 0 set when a positive shortest path
 exists, bit 1 when a negative one does).
@@ -74,6 +74,7 @@ class Reach(NamedTuple):
 
 
 _POS, _NEG, _BOTH = 1, 2, 3  # bits of a `mask` entry
+_RUN_BUDGET = 1 << 15  # candidates one run of a BFS level expands at once
 # sigma_max / sigma_min / PathSigns indexed by a mask entry (never 0)
 _SIGMA_MAX = (0, 1, -1, 1)
 _SIGMA_MIN = (0, 1, -1, -1)
@@ -99,10 +100,35 @@ def _cover_arcs(g: SignedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.array(heads, dtype=np.intp), ends, degrees
 
 
+def _runs(frontier: np.ndarray, cum: np.ndarray, degrees: np.ndarray, m: int):
+    """Cut a source-sorted frontier, whose keys' cover degrees run up to
+    `cum`, into runs of the most whole sources that fit in _RUN_BUDGET
+    candidates, at least one source each.  Yields a run's keys, their
+    cover vertices and degrees, and the running total from the run's start.
+    """
+    lo = 0
+    while lo < frontier.size:
+        base = cum[lo - 1] if lo else 0
+        hi = np.searchsorted(cum, base + _RUN_BUDGET, "right")
+        # back off to the first key of a source: source s owns keys [s * m, s * m + m)
+        if hi < frontier.size:
+            hi = np.searchsorted(frontier, max(frontier[hi] // m, frontier[lo] // m + 1) * m)
+        keys = frontier[lo:hi]
+        c = keys % m
+        yield keys, c, degrees[c], cum[lo:hi] - base
+        lo = hi
+
+
 def _all_sources(g: SignedGraph) -> tuple[np.ndarray, np.ndarray]:
     """(dist, mask) for every pair, by one BFS from all sources at once.
 
-    Pairs in different components keep dist -1 and mask 0.
+    Pairs in different components keep dist -1 and mask 0.  The frontier
+    stays sorted by source (a key s * 2V + c expands only into keys of
+    source s, and every filter keeps order), so a level is expanded in
+    runs of whole sources, each filtered, written and de-duplicated
+    before the next: two runs never share a vertex pair.  A run expands
+    at most _RUN_BUDGET candidates, unless its one source alone has more
+    (up to 4E on a dense graph); a level within the budget runs whole.
     """
     n = g.vertex_count
     m = 2 * n
@@ -118,24 +144,32 @@ def _all_sources(g: SignedGraph) -> tuple[np.ndarray, np.ndarray]:
     level = 0
     while remaining:
         level += 1
-        # every arc out of every frontier key, as a candidate key
         c = frontier % m
         deg = degrees[c]
-        arc = (ends[c] - deg.cumsum()).repeat(deg)
-        arc += np.arange(arc.size)
-        cand = (frontier - c).repeat(deg)
-        cand += heads[arc]
-        # keep the keys whose vertex pair is first reached at this level
-        cand = cand[flat[cand >> 1] < 0]
-        if not cand.size:
+        cum = deg.cumsum()
+        fits = cum[-1] <= _RUN_BUDGET
+        runs = ((frontier, c, deg, cum),) if fits else _runs(frontier, cum, degrees, m)
+        parts = []
+        for keys, c, deg, cum in runs:
+            # every arc out of every key of the run, as a candidate key
+            arc = (ends[c] - cum).repeat(deg)
+            arc += np.arange(arc.size)
+            cand = (keys - c).repeat(deg)
+            cand += heads[arc]
+            # keep the keys whose vertex pair is first reached at this level
+            cand = cand[flat[cand >> 1] < 0]
+            flat[cand >> 1] = level
+            # drop repeated keys: exactly one copy reads back its own index
+            index = np.arange(cand.size, dtype=np.int32)
+            stamp[cand] = index
+            cand = cand[stamp[cand] == index]
+            # pairs reached with both signs appear twice
+            remaining -= cand.size - np.count_nonzero(stamp[cand ^ 1] >= 0) // 2
+            parts.append(cand)
+        frontier = cand if fits else np.concatenate(parts)
+        del parts, keys  # pieces of the new frontier and a view of the old one
+        if not frontier.size:
             break
-        flat[cand >> 1] = level
-        # drop repeated keys: exactly one copy reads back its own index
-        index = np.arange(cand.size, dtype=np.int32)
-        stamp[cand] = index
-        frontier = cand[stamp[cand] == index]
-        # pairs reached with both signs appear twice in the frontier
-        remaining -= frontier.size - np.count_nonzero(stamp[frontier ^ 1] >= 0) // 2
     dist = flat.reshape(n, n)
     mask = np.packbits(stamp.reshape(n, n, 2) >= 0, axis=2, bitorder="little").reshape(n, n)
     dist.setflags(write=False)

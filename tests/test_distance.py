@@ -7,10 +7,13 @@ that never looks at the BFS DAG at all.
 """
 
 import random
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgpower import (
     DisconnectedError,
@@ -26,7 +29,7 @@ from sgpower import (
     shortest_path_with_sign,
     sign_reachability,
 )
-from sgpower import distance
+from sgpower import core, distance
 from sgpower.distance import _reach_table
 from sgpower.oracle import enumerate_shortest_paths
 
@@ -146,6 +149,106 @@ def test_disconnected_graph_names_the_reference_pair(monkeypatch):
             sign_reachability(g, source)
         assert str(got.value) == str(ref.value)
     assert builds == [g]  # the partial table is kept, not rebuilt per call
+
+
+# -- a level expanded in runs of whole sources ---------------------------------
+
+
+@st.composite
+def signed_graphs(draw, max_vertices: int = 10):
+    """Random signed graph on 1..max_vertices vertices, often disconnected."""
+    n = draw(st.integers(1, max_vertices))
+    all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = sorted(draw(st.sets(st.sampled_from(all_pairs)))) if all_pairs else []
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=len(chosen), max_size=len(chosen)))
+    return SignedGraph(n, [(u, v, s) for (u, v), s in zip(chosen, signs)])
+
+
+def _reference_arrays(g):
+    """(dist, mask) of the per-source reference, run on each component:
+    pairs in different components get dist -1 and mask 0."""
+    n = g.vertex_count
+    dist = np.full((n, n), -1, dtype=np.int32)
+    mask = np.zeros((n, n), dtype=np.uint8)
+    done = set()
+    for s in range(n):
+        if s in done:
+            continue
+        comp = sorted(core.bfs(g, s)[0])
+        done.update(comp)
+        index = {v: i for i, v in enumerate(comp)}
+        h = SignedGraph(len(comp), [(index[u], index[v], x) for u, v, x in g.edges if u in index])
+        for u, row in zip(comp, reach_reference.reach_table(h)):
+            for v, (d, signs) in zip(comp, row):
+                dist[u, v] = d
+                mask[u, v] = signs.has_positive | 2 * signs.has_negative
+    return dist, mask
+
+
+def _random_graph(n: int, avg_degree: int, seed: int) -> SignedGraph:
+    """Random recursive spanning tree plus random extra edges, random signs."""
+    rng = random.Random(seed)
+    pairs = {(rng.randrange(v), v) for v in range(1, n)}
+    while len(pairs) < n * avg_degree // 2:
+        u, v = sorted(rng.sample(range(n), 2))
+        pairs.add((u, v))
+    return SignedGraph(n, [(u, v, rng.choice((1, -1))) for u, v in sorted(pairs)])
+
+
+@pytest.mark.parametrize("budget", (1, 2, 5, 64))
+@given(st.one_of(connected_signed_graphs(min_vertices=1, max_vertices=10), signed_graphs()))
+@settings(max_examples=60, deadline=None)
+def test_tiny_run_budgets_give_the_reference_table(budget, g):
+    builds = []
+    kernel = distance._all_sources
+    with mock.patch.object(distance, "_RUN_BUDGET", budget), mock.patch.object(
+        distance, "_all_sources", lambda g: builds.append(g) or kernel(g)
+    ):
+        expected = _reference_arrays(g)
+        if core.is_connected(g):
+            got = _reach_table(g)
+        else:
+            for source in range(g.vertex_count):
+                with pytest.raises(DisconnectedError) as got:
+                    _reach_table(g, source)
+                with pytest.raises(DisconnectedError) as ref:
+                    reach_reference.sign_reachability(g, source)
+                assert str(got.value) == str(ref.value)
+            got = g._cache["reach_partial"]
+        assert builds == [g]  # the partial table is kept, not rebuilt per call
+    assert np.array_equal(got[0], expected[0])
+    assert np.array_equal(got[1], expected[1])
+
+
+def test_a_level_splits_into_runs_at_the_default_budget(monkeypatch):
+    split = distance._runs
+    runs_per_split = []
+
+    def counted(*args):
+        runs = list(split(*args))
+        runs_per_split.append(len(runs))
+        return runs
+
+    monkeypatch.setattr(distance, "_runs", counted)
+    g = _random_graph(400, 6, seed=11)
+    dist, mask = _reach_table(g)
+    assert max(runs_per_split, default=0) > 1
+    expected = _reference_arrays(g)
+    assert np.array_equal(dist, expected[0])
+    assert np.array_equal(mask, expected[1])
+
+
+def test_sign_table_build_memory_is_bounded():
+    # expanding each level at once peaked at about 139 MiB here
+    g = _random_graph(1000, 6, seed=5)
+    g._adjacency_rows()
+    tracemalloc.start()
+    try:
+        distance._all_sources(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2**20
 
 
 # -- frozen small cases --------------------------------------------------------
