@@ -23,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import numpy as np
-
 from .core import (
     BadExponentError,
     DisconnectedError,
@@ -39,7 +37,7 @@ from .core import (
     is_two_connected,
     path_sign,
 )
-from .distance import diameter, distance_matrices, first_incompatible_pair, is_compatible
+from .distance import diameter, first_incompatible_pair, is_compatible
 from .power import Witnesses, associated_complete, is_power_unique, power
 
 
@@ -75,28 +73,20 @@ def is_balanced(g: SignedGraph) -> BalanceReport:
         label[y] = label[parent[y]] * g.sign(parent[y], y)
     for u, v, s in g.edges:
         if label[u] * label[v] != s:
-            return BalanceReport(balanced=False, witness=_tree_cycle(parent, depth, u, v))
+            return BalanceReport(balanced=False, witness=_tree_cycle(parent, u, v))
     return BalanceReport(balanced=True, switching_labels=tuple(label))
 
 
-def _tree_cycle(parent: list[int], depth: list[int], u: int, v: int) -> tuple[int, ...]:
+def _tree_cycle(parent: list[int], u: int, v: int) -> tuple[int, ...]:
     """Closed cycle made of the tree path u..v plus the edge vu."""
-    up_u = [u]
-    up_v = [v]
-    a, b = u, v
-    while depth[a] > depth[b]:
-        a = parent[a]
-        up_u.append(a)
-    while depth[b] > depth[a]:
-        b = parent[b]
-        up_v.append(b)
-    while a != b:
-        a = parent[a]
-        b = parent[b]
-        up_u.append(a)
-        up_v.append(b)
-    # up_u ends at the meeting vertex, as does up_v; join them
-    return tuple(up_u + up_v[::-1][1:] + [u])
+    up_u = [u]  # u and its ancestors up to the root (parent -1)
+    while parent[up_u[-1]] >= 0:
+        up_u.append(parent[up_u[-1]])
+    at = {x: i for i, x in enumerate(up_u)}
+    up_v = [v]  # v up to the first vertex it shares with up_u
+    while up_v[-1] not in at:
+        up_v.append(parent[up_v[-1]])
+    return tuple(up_u[: at[up_v[-1]] + 1] + up_v[-2::-1] + [u])
 
 
 def lift_path(g: SignedGraph, p: Sequence[int], n: int) -> tuple[int, ...]:
@@ -149,15 +139,15 @@ def verify_nbc(g: SignedGraph) -> CheckOutcome:
     g balanced; its max completion balanced; its min completion
     balanced; the signed distance matrices agree and the common
     completion is balanced.
+
+    Statement 4 reads "the matrices agree" as compatibility: D_max and
+    D_min share one distance table, so they differ exactly at the pairs
+    with shortest paths of both signs.
     """
     s1 = is_balanced(g).balanced
     s2 = is_balanced(associated_complete(g, "max")).balanced
     s3 = is_balanced(associated_complete(g, "min")).balanced
-    dmax, dmin = distance_matrices(g)
-    if np.array_equal(dmax, dmin):
-        s4 = is_balanced(associated_complete(g, "pm")).balanced
-    else:
-        s4 = False
+    s4 = is_compatible(g) and is_balanced(associated_complete(g, "pm")).balanced
     statements = (s1, s2, s3, s4)
     ok = len(set(statements)) == 1
     detail = {} if ok else {"statements": statements}
@@ -173,10 +163,8 @@ def verify_power_balance(g: SignedGraph, n: int) -> CheckOutcome:
     """
     if not is_two_connected(g):
         raise NotTwoConnectedError("the power balance equivalence needs a 2-connected graph")
-    if n < 1:
-        raise BadExponentError(f"power exponent must be >= 1, got {n}")
     base = is_balanced(g).balanced
-    pr = power(g, n)
+    pr = power(g, n)  # raises BadExponentError for n < 1
     if pr.unique:
         ok = base == is_balanced(pr.power_max).balanced
         return CheckOutcome(ok, {} if ok else {"n": n, "balanced": base})

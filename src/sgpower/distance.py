@@ -251,6 +251,8 @@ def shortest_path_with_sign(g: SignedGraph, u: int, v: int, sign: int) -> tuple[
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
+    g._check_vertex(u)
+    g._check_vertex(v)
     dist, mask = _reach_table(g)
     to_v = dist[v].tolist()
     signs_v = mask[v].tolist()

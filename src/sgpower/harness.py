@@ -173,14 +173,17 @@ def _check_blcm(g: SignedGraph, rng: random.Random, notes: dict[str, int]) -> st
 
 
 def _check_l3(g: SignedGraph, rng: random.Random, notes: dict[str, int]) -> str | None:
-    balanced = is_balanced(g).balanced
+    k_max = associated_complete(g, "max")
+    k_min = associated_complete(g, "min")
+    # a balanced graph is compatible, so its common completion exists
+    k_pm = associated_complete(g, "pm") if is_balanced(g).balanced else None
     for n in _exponents(g):
         pr = power(g, n)
-        if associated_complete(g, "max") != associated_complete(pr.power_max, "max"):
+        if k_max != associated_complete(pr.power_max, "max"):
             return f"n={n}: max completions differ"
-        if associated_complete(g, "min") != associated_complete(pr.power_min, "min"):
+        if k_min != associated_complete(pr.power_min, "min"):
             return f"n={n}: min completions differ"
-        if balanced and associated_complete(g, "pm") != associated_complete(pr.power_max, "pm"):
+        if k_pm is not None and k_pm != associated_complete(pr.power_max, "pm"):
             return f"n={n}: common completions differ"
     return None
 

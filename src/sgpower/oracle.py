@@ -11,12 +11,12 @@ dynamic program is tested against.
 generator is Python's `random.Random` (the Mersenne Twister MT19937),
 seeded per trial with `spec.seed * 2**32 + trial`, so a spec identifies
 its corpus exactly, on every platform.  Each graph is a uniformly random
-recursive spanning tree plus independent extra edges; signs are uniform
-unless balance is required, in which case the graph is built all
-positive and then switched at a random vertex subset (which preserves
-balance).  Structural requirements that are not guaranteed by
-construction (2-connectivity, compatibility) are met by rejection
-sampling with a bounded number of attempts per trial.
+recursive spanning tree plus independent extra edges, so it is connected.
+Signs are uniform unless balance is required; then the graph is an
+all-positive one switched at a random vertex subset (+ iff both ends lie
+on the same side), so it is balanced by construction.  Rejection
+sampling, with a bounded number of attempts per trial, meets the
+requirements construction does not guarantee (2-connectivity, compatibility).
 """
 
 from __future__ import annotations
@@ -25,10 +25,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator
 
-from .balance import is_balanced
-from .core import (
-    DisconnectedError, SignedGraph, SignedGraphError, bfs, is_connected, is_two_connected, switch
-)
+from .core import DisconnectedError, SignedGraph, SignedGraphError, bfs, is_two_connected
 from .distance import PathSigns, is_compatible
 
 
@@ -153,19 +150,14 @@ def _random_graph(rng: random.Random, spec: CorpusSpec) -> SignedGraph:
                 pairs.add((u, v))
     ordered = sorted(pairs)
     if "balanced" in spec.require:
-        g = SignedGraph(n, [(u, v, 1) for u, v in ordered])
-        g = switch(g, [v for v in range(n) if rng.random() < 0.5])
-    else:
-        g = SignedGraph(n, [(u, v, rng.choice((1, -1))) for u, v in ordered])
-    return g
+        side = [rng.random() < 0.5 for _ in range(n)]  # the switching set
+        return SignedGraph(n, [(u, v, 1 if side[u] == side[v] else -1) for u, v in ordered])
+    return SignedGraph(n, [(u, v, rng.choice((1, -1))) for u, v in ordered])
 
 
 def _meets(g: SignedGraph, require: frozenset[str]) -> bool:
-    if "connected" in require and not is_connected(g):
-        return False
+    # "connected" and "balanced" hold by construction (see _random_graph)
     if "two_connected" in require and not is_two_connected(g):
-        return False
-    if "balanced" in require and not is_balanced(g).balanced:
         return False
     if "compatible" in require and not is_compatible(g):
         return False

@@ -224,6 +224,11 @@ def test_power_balance_needs_two_connected():
         verify_power_balance(path_graph([1, 1]), 1)
 
 
+def test_power_balance_rejects_exponents_below_one():
+    with pytest.raises(BadExponentError, match=r"^power exponent must be >= 1, got 0$"):
+        verify_power_balance(cycle_graph([1, -1, 1]), 0)
+
+
 @given(st.integers(1, 4))
 def test_power_balance_on_switched_cycles(n):
     g = switch(cycle_graph([1] * 7), [2, 5])

@@ -19,6 +19,7 @@ from sgpower import (
     DisconnectedError,
     PathSigns,
     SignedGraph,
+    VertexOutOfRangeError,
     diameter,
     distance_matrices,
     first_incompatible_pair,
@@ -358,6 +359,13 @@ def test_sign_constrained_path_corner_cases():
     assert shortest_path_with_sign(g, 0, 2, 1) is None
     with pytest.raises(ValueError):
         shortest_path_with_sign(g, 0, 2, 0)
+
+
+def test_sign_constrained_path_checks_both_vertices():
+    g = path_graph([1, 1, 1])  # 0-1-2-3
+    for u, v in ((-1, 3), (0, 4)):  # no wrap-around to vertex 3, no numpy IndexError
+        with pytest.raises(VertexOutOfRangeError):
+            shortest_path_with_sign(g, u, v, 1)
 
 
 def test_incompatible_pair_yields_paths_of_both_signs():

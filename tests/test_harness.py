@@ -5,10 +5,14 @@ is genuinely false, so its report is allowed to contain failures; the
 test re-validates that every reported counterexample is real.
 """
 
+import random
+
 import pytest
 
-from sgpower import associated_complete, power
+from sgpower import associated_complete, harness, is_balanced, power
 from sgpower.harness import THEOREM_ORDER, run_many, run_theorem
+
+from conftest import all_negative_cycle, c4_one_negative, cycle_graph, path_graph
 
 
 def _snapshot(report):
@@ -66,3 +70,28 @@ def test_notes_count_skipped_trials():
     assert report.ok
     # non-unique powers are skipped but recorded
     assert set(report.notes) <= {"skipped_non_unique"}
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        path_graph([1]),
+        path_graph([1, -1, 1, 1, -1, 1]),
+        cycle_graph([1, -1, -1, 1, 1, 1]),
+        c4_one_negative(),
+        all_negative_cycle(5),
+        cycle_graph([1] * 8 + [-1]),
+    ],
+)
+def test_l3_completes_the_base_graph_once_per_mode(monkeypatch, g):
+    base_calls = []
+
+    def counted(h, mode):
+        if h is g:
+            base_calls.append(mode)
+        return associated_complete(h, mode)
+
+    monkeypatch.setattr(harness, "associated_complete", counted)
+    harness._check_l3(g, random.Random(0), {})
+    want = ["max", "min", "pm"] if is_balanced(g).balanced else ["max", "min"]
+    assert base_calls == want  # whatever the number of exponents

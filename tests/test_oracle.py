@@ -24,6 +24,7 @@ from sgpower import (
     oracle_signs,
     path_sign,
 )
+from sgpower import balance, core, oracle
 
 from conftest import (
     c4_one_negative,
@@ -196,3 +197,34 @@ def test_balanced_generation_covers_unswitched_and_switched_graphs():
         itertools.chain.from_iterable((s for _, _, s in g.edges) for g in generate(spec))
     )
     assert signs == {1, -1}  # switching actually introduces negative edges
+
+
+def test_balanced_generation_builds_one_graph_per_attempt_and_runs_no_bfs(monkeypatch):
+    attempts, built = [], []
+    draw, init = oracle._random_graph, SignedGraph.__init__
+
+    def counted_draw(rng, spec):
+        attempts.append(1)
+        return draw(rng, spec)
+
+    def counted_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    def no_bfs(*args):
+        raise AssertionError("a corpus with these requirements needs no BFS")
+
+    monkeypatch.setattr(oracle, "_random_graph", counted_draw)
+    monkeypatch.setattr(SignedGraph, "__init__", counted_init)
+    for module in (core, balance, oracle):
+        monkeypatch.setattr(module, "bfs", no_bfs)
+    spec = CorpusSpec(
+        seed=9,
+        vertex_range=(3, 8),
+        edge_probability=0.5,
+        require=frozenset({"balanced", "connected", "two_connected"}),
+        trials=20,
+    )
+    assert len(list(generate(spec))) == 20
+    assert len(attempts) > 20  # some drafts fail 2-connectivity and are drawn again
+    assert len(built) == len(attempts)
