@@ -27,14 +27,16 @@ keys; everything is integer indexing, so nothing is approximate.
 
 Cost: a key enters the frontier at most once, so one pass follows each
 of the 4E cover arcs at most once per source: O(V * E) work in
-`diameter` vectorised levels, whatever the diameter.  Memory: 4 V^2
+`diameter` vectorised levels, whatever the diameter.  Memory: 2 V^2
 bytes for `dist`, V^2 for `mask` and 8 V^2 for the key stamps, plus
 about 32 bytes per frontier key and 30 per candidate of one run of a
 level (see `_all_sources`).  A random graph of degree 6 at V=3000 peaks
-at about 300 MiB, 110 MiB of it the table.  The result is
-cached on the (immutable) graph as two arrays: `dist` (int32, hop
-distances) and `mask` (uint8, bit 0 set when a positive shortest path
-exists, bit 1 when a negative one does).
+at about 290 MiB, 94 MiB of it the table.  The result is cached on
+the (immutable) graph as two arrays, `dist` (int16 hop distances, -1
+when unreached; int32 from 2^15 vertices) and `mask` (uint8, bit 0 set
+when a positive shortest path exists, bit 1 when a negative one does),
+and two facts of the build: its last level, the diameter, and d0, the
+first level that reached a pair with both signs (None if none).
 """
 
 from __future__ import annotations
@@ -119,8 +121,8 @@ def _runs(frontier: np.ndarray, cum: np.ndarray, degrees: np.ndarray, m: int):
         lo = hi
 
 
-def _all_sources(g: SignedGraph) -> tuple[np.ndarray, np.ndarray]:
-    """(dist, mask) for every pair, by one BFS from all sources at once.
+def _all_sources(g: SignedGraph) -> tuple[np.ndarray, np.ndarray, int, int | None]:
+    """(dist, mask, last level, d0) by one BFS from all sources at once.
 
     Pairs in different components keep dist -1 and mask 0.  The frontier
     stays sorted by source (a key s * 2V + c expands only into keys of
@@ -133,7 +135,7 @@ def _all_sources(g: SignedGraph) -> tuple[np.ndarray, np.ndarray]:
     n = g.vertex_count
     m = 2 * n
     heads, ends, degrees = _cover_arcs(g)
-    flat = np.full(n * n, -1, dtype=np.int32)  # dist, row-major
+    flat = np.full(n * n, -1, dtype=np.int16 if n < 1 << 15 else np.int32)  # dist, row-major
     flat[:: n + 1] = 0
     # (s, c) -> key s * 2V + c, so a key's vertex pair is key >> 1 and its
     # other sign is key ^ 1.  stamp[key] >= 0 once the key has been reached.
@@ -142,6 +144,7 @@ def _all_sources(g: SignedGraph) -> tuple[np.ndarray, np.ndarray]:
     stamp[frontier] = 0
     remaining = n * n - n
     level = 0
+    first_both = None
     while remaining:
         level += 1
         c = frontier % m
@@ -163,8 +166,11 @@ def _all_sources(g: SignedGraph) -> tuple[np.ndarray, np.ndarray]:
             index = np.arange(cand.size, dtype=np.int32)
             stamp[cand] = index
             cand = cand[stamp[cand] == index]
-            # pairs reached with both signs appear twice
-            remaining -= cand.size - np.count_nonzero(stamp[cand ^ 1] >= 0) // 2
+            # pairs reached with both signs appear twice (both in this run)
+            both = np.count_nonzero(stamp[cand ^ 1] >= 0) // 2
+            remaining -= cand.size - both
+            if both and first_both is None:
+                first_both = level
             parts.append(cand)
         frontier = cand if fits else np.concatenate(parts)
         del parts, keys  # pieces of the new frontier and a view of the old one
@@ -174,7 +180,7 @@ def _all_sources(g: SignedGraph) -> tuple[np.ndarray, np.ndarray]:
     mask = np.packbits(stamp.reshape(n, n, 2) >= 0, axis=2, bitorder="little").reshape(n, n)
     dist.setflags(write=False)
     mask.setflags(write=False)
-    return dist, mask
+    return dist, mask, level, first_both
 
 
 def _reach_table(g: SignedGraph, source: int = 0) -> tuple[np.ndarray, np.ndarray]:
@@ -186,12 +192,13 @@ def _reach_table(g: SignedGraph, source: int = 0) -> tuple[np.ndarray, np.ndarra
     """
     table = g._cache.get("reach_table")
     if table is None:
-        table = g._cache.get("reach_partial") or _all_sources(g)
-        missing = np.flatnonzero(table[0][source] < 0)
+        dist, mask, *facts = g._cache.get("reach_partial") or _all_sources(g)
+        missing = np.flatnonzero(dist[source] < 0)
         if missing.size:
-            g._cache["reach_partial"] = table
+            g._cache["reach_partial"] = dist, mask
             raise DisconnectedError(f"vertex {missing[0]} unreachable from {source}")
-        g._cache["reach_table"] = table
+        g._cache["reach_facts"] = facts
+        g._cache["reach_table"] = table = dist, mask
     return table
 
 
@@ -226,19 +233,28 @@ def is_compatible_pair(g: SignedGraph, u: int, v: int) -> bool:
     return int(_reach_table(g)[1][u, v]) != _BOTH
 
 
+def _facts(g: SignedGraph) -> list:
+    """[diameter, d0] of a connected graph, as its table's build recorded them."""
+    _reach_table(g)
+    return g._cache["reach_facts"]
+
+
 def is_compatible(g: SignedGraph) -> bool:
-    return first_incompatible_pair(g) is None
+    """True iff no pair is incompatible (so every power is unique): the build's d0 is None."""
+    return _facts(g)[1] is None
 
 
 def first_incompatible_pair(g: SignedGraph) -> tuple[int, int] | None:
     """Lexicographically first pair u < v with shortest paths of both signs."""
+    if is_compatible(g):
+        return None
     # the first hit in row-major order has u < v, as the mask is symmetric
-    i = _reach_table(g)[1].tobytes().find(_BOTH)
-    return None if i < 0 else divmod(i, g.vertex_count)
+    return divmod(_reach_table(g)[1].tobytes().find(_BOTH), g.vertex_count)
 
 
 def diameter(g: SignedGraph) -> int:
-    return int(_reach_table(g)[0].max())
+    """Largest hop distance: the last level of the table's build."""
+    return _facts(g)[0]
 
 
 def shortest_path_with_sign(g: SignedGraph, u: int, v: int, sign: int) -> tuple[int, ...] | None:

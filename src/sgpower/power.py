@@ -41,6 +41,7 @@ from .distance import (
     _BOTH,
     _SIGMA_MAX,
     _SIGMA_MIN,
+    _facts,
     _reach_table,
     diameter,
     first_incompatible_pair,
@@ -170,18 +171,21 @@ def first_incompatible_pair_within(g: SignedGraph, n: int) -> tuple[int, int] | 
     """Lexicographically first pair u < v at distance <= n with shortest
     paths of both signs: the first edge where the max and min n-th powers
     differ.  None when the n-th power is unique."""
-    if n < 1:
-        raise BadExponentError(f"power exponent must be >= 1, got {n}")
+    if is_power_unique(g, n):  # nothing to find; raises for n < 1
+        return None
     dist, mask = _reach_table(g)
     bad = ((mask == _BOTH) & (dist <= n)).ravel()
     # the first hit in row-major order has u < v, as both arrays are symmetric
-    i = int(bad.argmax())
-    return divmod(i, g.vertex_count) if bad[i] else None
+    return divmod(int(bad.argmax()), g.vertex_count)
 
 
 def is_power_unique(g: SignedGraph, n: int) -> bool:
-    """True iff every pair at distance in (0, n] is compatible."""
-    return first_incompatible_pair_within(g, n) is None
+    """True iff the n-th power is unique: by the uniqueness theorem, iff every
+    pair at distance <= n is compatible, i.e. n < d0, recorded by the table's build."""
+    if n < 1:
+        raise BadExponentError(f"power exponent must be >= 1, got {n}")
+    d0 = _facts(g)[1]
+    return d0 is None or n < d0
 
 
 def associated_complete(g: SignedGraph, mode: str) -> SignedGraph:

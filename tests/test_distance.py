@@ -23,10 +23,14 @@ from sgpower import (
     diameter,
     distance_matrices,
     first_incompatible_pair,
+    first_incompatible_pair_within,
     is_compatible,
     is_compatible_pair,
+    is_power_unique,
+    lift_path,
     oracle_signs,
     path_sign,
+    power,
     shortest_path_with_sign,
     sign_reachability,
 )
@@ -240,7 +244,8 @@ def test_a_level_splits_into_runs_at_the_default_budget(monkeypatch):
 
 
 def test_sign_table_build_memory_is_bounded():
-    # expanding each level at once peaked at about 139 MiB here
+    # expanding each level at once peaked at about 139 MiB here; runs of
+    # whole sources over an int16 dist peak at about 30 MiB
     g = _random_graph(1000, 6, seed=5)
     g._adjacency_rows()
     tracemalloc.start()
@@ -249,7 +254,65 @@ def test_sign_table_build_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 50 * 2**20
+    assert peak < 36 * 2**20
+
+
+# -- diameter and d0, recorded by the build --------------------------------------
+
+
+@pytest.mark.parametrize("budget", (1, 2, 5, distance._RUN_BUDGET))
+@given(connected_signed_graphs(min_vertices=1, max_vertices=10))
+@settings(max_examples=60, deadline=None)
+def test_build_facts_match_the_per_source_reference(budget, g):
+    table = reach_reference.reach_table(g)
+    pairs = [(u, v) for u in range(g.vertex_count) for v in range(u + 1, g.vertex_count)]
+    bad = [(u, v) for u, v in pairs if table[u][v].signs == PathSigns(True, True)]
+    diam = max(r.distance for row in table for r in row)
+    with mock.patch.object(distance, "_RUN_BUDGET", budget):
+        assert diameter(g) == diam
+    assert is_compatible(g) == (not bad)
+    for n in range(1, diam + 3):
+        close = [(u, v) for u, v in bad if table[u][v].distance <= n]
+        assert is_power_unique(g, n) == (not close)
+        assert first_incompatible_pair_within(g, n) == min(close, default=None)
+
+
+class _Unreadable:
+    """Stands in for a cached table array: any read of it fails."""
+
+    def _fail(self, *args):
+        raise AssertionError("the table was read")
+
+    __getattr__ = __getitem__ = __iter__ = __len__ = __array__ = __bool__ = _fail
+    __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = __and__ = _fail
+
+
+def test_whole_table_answers_read_no_table_after_the_build():
+    for g, lift_n in ((all_negative_cycle(7), 3), (c4_one_negative(), 1)):
+        _reach_table(g)
+        path = tuple(range(g.vertex_count))
+        expected = (
+            diameter(g),
+            is_compatible(g),
+            [is_power_unique(g, n) for n in range(1, 5)],
+            lift_path(g, path, lift_n),
+            power(g, lift_n).unique,
+            first_incompatible_pair_within(g, lift_n),
+        )
+        g._cache["reach_table"] = _Unreadable(), _Unreadable()
+        assert expected == (
+            diameter(g),
+            is_compatible(g),
+            [is_power_unique(g, n) for n in range(1, 5)],
+            lift_path(g, path, lift_n),
+            power(g, lift_n).unique,
+            first_incompatible_pair_within(g, lift_n),
+        )
+        if is_compatible(g):
+            assert first_incompatible_pair(g) is None
+        else:
+            with pytest.raises(AssertionError, match="the table was read"):
+                first_incompatible_pair(g)
 
 
 # -- frozen small cases --------------------------------------------------------

@@ -9,6 +9,7 @@ has a unique square whose min-completion differs from its own.
 
 import importlib
 import math
+import random
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from sgpower import (
     associated_complete,
     check_diameter_power_theorem,
     diameter,
+    first_incompatible_pair,
     first_incompatible_pair_within,
     is_balanced,
     is_compatible,
@@ -32,10 +34,13 @@ from sgpower import (
     oracle_signs,
     path_sign,
     power,
+    serialize_graph,
     shortest_path_with_sign,
     sign_reachability,
     switch,
 )
+from sgpower.cli import main
+from sgpower.distance import _reach_table
 
 from conftest import (
     all_negative_cycle,
@@ -316,6 +321,33 @@ def test_diameter_precondition_enforced():
     g = path_graph([1, 1, 1])  # diameter 3
     with pytest.raises(PreconditionViolatedError):
         check_diameter_power_theorem(g, 2)
+
+
+def test_exponents_past_int64_read_the_int16_table_like_the_diameter(capsys, tmp_path):
+    rng = random.Random(3)
+    side = 5  # a grid with random signs: many incompatible pairs
+    edges = [(v, v + 1, rng.choice((1, -1))) for v in range(side * side) if v % side < side - 1]
+    edges += [(v, v + side, rng.choice((1, -1))) for v in range(side * (side - 1))]
+    g = SignedGraph(side * side, edges)
+    dist, mask = _reach_table(g)
+    assert dist.dtype == np.int16
+    assert dist.nbytes + mask.nbytes == 3 * g.vertex_count**2
+    d, huge = diameter(g), 10**20
+    at_d, at_huge = power(g, d), power(g, huge)
+    assert at_huge.power_max == at_d.power_max and at_huge.power_min == at_d.power_min
+    complete = g.vertex_count * (g.vertex_count - 1) // 2  # every pair is within d
+    assert len(at_huge.witnesses_max) == len(at_d.witnesses_max) == complete
+    assert all(key in at_huge.witnesses_max for key in at_d.witnesses_max)
+    assert (0, 0) not in at_huge.witnesses_max
+    pair = first_incompatible_pair_within(g, huge)
+    assert pair == first_incompatible_pair_within(g, d) == first_incompatible_pair(g) is not None
+    f = tmp_path / "grid.sg"
+    f.write_text(serialize_graph(g))
+    outs = []
+    for n in (str(d), "100000000000000000000"):
+        assert main(["power", "-n", n, "--mode", "max", str(f)]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
 
 
 def test_power_of_complete_graph_is_itself():
