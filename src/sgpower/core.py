@@ -81,9 +81,9 @@ class SignedGraph:
     `edges` may list endpoints in either order; they are stored
     canonically with u < v.  Loops, repeated pairs, signs outside
     {+1, -1} and out-of-range endpoints are rejected.  The sorted
-    adjacency lists are built by the first walk (`neighbors`, `degree`,
-    the sign table) and kept, so a graph that is only compared, hashed,
-    signed or serialized never builds them.
+    adjacency lists are built by the first walk (`neighbors`, `degree`)
+    and kept, so a graph that is only compared, hashed, signed,
+    serialized or given a sign table never builds them.
     """
 
     __slots__ = ("vertex_count", "_sign_by_pair", "_adjacency", "_cache")
@@ -236,7 +236,8 @@ def is_two_connected(g: SignedGraph) -> bool:
     parent = [-1] * n
     timer = 0
     root_children = 0
-    stack: list[tuple[int, Iterator[tuple[int, int]]]] = [(0, iter(g.neighbors(0)))]
+    rows = g._adjacency_rows()
+    stack: list[tuple[int, Iterator[tuple[int, int]]]] = [(0, iter(rows[0]))]
     disc[0] = low[0] = timer
     timer += 1
     while stack:
@@ -249,7 +250,7 @@ def is_two_connected(g: SignedGraph) -> bool:
                     root_children += 1
                 disc[y] = low[y] = timer
                 timer += 1
-                stack.append((y, iter(g.neighbors(y))))
+                stack.append((y, iter(rows[y])))
                 advanced = True
                 break
             elif y != parent[x]:

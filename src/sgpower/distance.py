@@ -42,6 +42,7 @@ first level that reached a pair with both signs (None if none).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -88,18 +89,19 @@ def _cover_arcs(g: SignedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Cover vertex (v, +) has index 2v and (v, -) index 2v + 1, and an
     edge of sign s joins (x, e) to (y, e * s).  The arcs out of cover
-    vertex c are heads[ends[c] - degrees[c] : ends[c]].
+    vertex c are heads[ends[c] - degrees[c] : ends[c]], read off the
+    edge map in no set order (the table does not depend on it).
     """
-    heads, ends = [], []
-    for adj in g._adjacency_rows():
-        heads += [2 * y + (s < 0) for y, s in adj]  # out of (x, +)
-        ends.append(len(heads))
-        heads += [2 * y + (s > 0) for y, s in adj]  # out of (x, -)
-        ends.append(len(heads))
-    ends = np.array(ends, dtype=np.intp)
-    degrees = ends.copy()
-    degrees[1:] -= ends[:-1]
-    return np.array(heads, dtype=np.intp), ends, degrees
+    out: list[list[int]] = [[] for _ in range(2 * g.vertex_count)]
+    for (u, v), s in g._sign_by_pair.items():
+        a, b, neg = 2 * u, 2 * v, s < 0
+        out[a].append(b + neg)
+        out[a + 1].append(b + 1 - neg)
+        out[b].append(a + neg)
+        out[b + 1].append(a + 1 - neg)
+    degrees = np.fromiter(map(len, out), np.intp, len(out))
+    heads = np.fromiter(chain.from_iterable(out), np.intp, 4 * g.edge_count)
+    return heads, degrees.cumsum(), degrees
 
 
 def _runs(frontier: np.ndarray, cum: np.ndarray, degrees: np.ndarray, m: int):

@@ -10,7 +10,8 @@ The associated signed complete graph keeps all existing signed edges
 and joins each non-adjacent pair, signed by sigma_max (mode "max"),
 sigma_min (mode "min"), or their common value (mode "pm", defined only
 for compatible graphs).  When diameter(g) <= n the n-th power is the
-same construction, which `check_diameter_power_theorem` verifies.
+same construction, which `check_diameter_power_theorem` verifies; a
+complete graph is returned as is, and every pair's sign is read off the table.
 
 Every power edge has a witness: the lexicographically least shortest
 path between its ends that realizes the edge's sign.  The witnesses
@@ -189,10 +190,15 @@ def is_power_unique(g: SignedGraph, n: int) -> bool:
 
 
 def associated_complete(g: SignedGraph, mode: str) -> SignedGraph:
-    """Complete graph on V(g) with distance-derived signs on non-edges."""
+    """Complete graph on V(g) with distance-derived signs on non-edges.
+
+    A complete g is returned as is.  Every pair's sign is read off the mask,
+    an edge's too: an edge is the only shortest path between its ends."""
     if mode not in ("max", "min", "pm"):
         raise ValueError(f"mode must be 'max', 'min' or 'pm', got {mode!r}")
-    mask = _reach_table(g)[1]
+    n = g.vertex_count
+    if g.edge_count == n * (n - 1) // 2:  # no pair to add, and compatible
+        return g
     if mode == "pm":
         bad = first_incompatible_pair(g)
         if bad is not None:
@@ -201,12 +207,8 @@ def associated_complete(g: SignedGraph, mode: str) -> SignedGraph:
                 "the common-sign completion is undefined"
             )
     sigma = _SIGMA_MIN if mode == "min" else _SIGMA_MAX  # "pm": the two coincide
-    signs = g._sign_by_pair  # an existing edge keeps its sign (+1 or -1, never falsy)
-    edges = []
-    for u, row in enumerate(mask.tolist()):
-        for v in range(u + 1, g.vertex_count):
-            edges.append((u, v, signs.get((u, v)) or sigma[row[v]]))
-    return SignedGraph(g.vertex_count, edges)
+    rows = enumerate(_reach_table(g)[1].tolist())
+    return SignedGraph(n, [(u, v, sigma[row[v]]) for u, row in rows for v in range(u + 1, n)])
 
 
 def check_diameter_power_theorem(g: SignedGraph, n: int) -> bool:

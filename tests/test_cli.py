@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sgpower import lift_path, parse_graph, power, serialize_graph, walk_sign
+from sgpower import CorpusSpec, generate, lift_path, parse_graph, power, serialize_graph, walk_sign
 from sgpower.cli import main
 from sgpower.harness import THEOREM_ORDER
 
@@ -325,6 +325,27 @@ def test_reference_verify_run_is_pinned(tmp_path):
 def test_cli_output_on_the_data_files_is_pinned(command):
     *argv, name = command.split()
     assert run_captured([*argv, str(ROOT / "data" / name)]) == (0, GOLDEN_CLI[command], "")
+
+
+# one digest over (argv, code, stdout, stderr) of _SWEEP on each graph of _SWEEP_SPEC
+_SWEEP_SPEC = CorpusSpec(77, (2, 30), 0.2, frozenset(), 40)
+_SWEEP = (
+    [["info"], ["balance"], ["compatible"], ["distance"]]
+    + [["complete", "--mode", mode] for mode in ("max", "min", "pm")]
+    + [["power", "-n", n, "--mode", mode] for n in "1235" for mode in ("max", "min", "unique")]
+)
+SWEEP_SHA256 = "79d8bda06bc99f1bfd146bd86fd393a02ccb6dad7221fb2039e43fb81fff7a2f"
+
+
+def test_cli_output_on_seeded_random_graphs_is_pinned(tmp_path):
+    digest = hashlib.sha256()
+    for i, g in enumerate(generate(_SWEEP_SPEC)):
+        f = tmp_path / f"g{i}.sg"
+        f.write_text(serialize_graph(g))
+        for argv in _SWEEP:
+            code, out, err = run_captured([*argv, str(f)])
+            digest.update(repr(([*argv, f.name], code, out, err)).encode())
+    assert digest.hexdigest() == SWEEP_SHA256
 
 
 # -- error handling -----------------------------------------------------------------

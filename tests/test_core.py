@@ -11,6 +11,7 @@ from sgpower import (
     NotAPathError,
     SignedGraph,
     VertexOutOfRangeError,
+    diameter,
     is_connected,
     is_two_connected,
     path_sign,
@@ -44,6 +45,7 @@ def test_adjacency_is_built_by_the_first_walk_only():
     g = SignedGraph(4, [(2, 0, -1), (3, 1, 1), (0, 1, 1)])
     assert g == SignedGraph(4, g.edges) and hash(g) and g.sign(0, 2) == -1
     assert serialize_graph(g) and repr(g)
+    assert diameter(g) == 3  # the sign table reads the edge map, not the adjacency
     assert g._adjacency is None
     cached = set(g._cache)
     assert g.neighbors(0) == ((1, 1), (2, -1)) and g.degree(3) == 1

@@ -277,6 +277,24 @@ def test_build_facts_match_the_per_source_reference(budget, g):
         assert first_incompatible_pair_within(g, n) == min(close, default=None)
 
 
+@pytest.mark.parametrize("budget", (1, 2, 5, distance._RUN_BUDGET))
+@given(connected_signed_graphs(min_vertices=1, max_vertices=10), st.data())
+@settings(max_examples=50, deadline=None)
+def test_the_table_does_not_depend_on_the_order_edges_are_given_in(budget, g, data):
+    edges = data.draw(st.permutations(g.edges))
+    flips = data.draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    given_edges = [(v, u, s) if f else (u, v, s) for (u, v, s), f in zip(edges, flips)]
+    h = SignedGraph(g.vertex_count, given_edges)
+    with mock.patch.object(distance, "_RUN_BUDGET", budget):
+        _assert_table_matches_reference(h)
+    table = reach_reference.reach_table(h)
+    diam = max(r.distance for row in table for r in row)
+    assert diameter(h) == diam
+    for n in range(1, diam + 2):
+        close = [r.signs for row in table for r in row if r.distance <= n]
+        assert is_power_unique(h, n) == all(signs.is_single for signs in close)
+
+
 class _Unreadable:
     """Stands in for a cached table array: any read of it fails."""
 

@@ -295,13 +295,34 @@ def test_common_completion_of_negative_five_cycle():
 
 
 @given(connected_signed_graphs())
-@settings(max_examples=60)
+@settings(max_examples=60, deadline=None)
 def test_completion_is_complete_and_consistent(g):
     kmax = associated_complete(g, "max")
     n = g.vertex_count
     assert kmax.edge_count == n * (n - 1) // 2
     if is_compatible(g):
         assert associated_complete(g, "pm") == kmax == associated_complete(g, "min")
+    # edges keep their signs and non-edges take the oracle's, which never reads the mask
+    for mode in ("max", "min", "pm") if is_compatible(g) else ("max", "min"):
+        for u, v, s in associated_complete(g, mode).edges:
+            if g.has_edge(u, v):
+                assert s == g.sign(u, v)
+            else:
+                signs = oracle_signs(g, u, v)
+                assert s == (signs.sigma_min if mode == "min" else signs.sigma_max)
+
+
+_MIXED_K6 = SignedGraph(6, [(u, v, -1 if u * v % 3 else 1) for u in range(6) for v in range(u)])
+
+
+@pytest.mark.parametrize(
+    "k", [complete_graph(1), complete_graph(2), complete_graph(5, -1), _MIXED_K6],
+    ids=["K1", "K2", "K5-negative", "K6-mixed"],
+)
+def test_a_complete_graph_is_its_own_completion(k):
+    for mode in ("max", "min", "pm"):
+        assert associated_complete(k, mode) is k
+    assert "reach_table" not in k._cache
 
 
 # -- diameter collapse ----------------------------------------------------------
