@@ -26,6 +26,8 @@ from .core import (
     walk_sign,
 )
 from .distance import (
+    _SIGMA_MAX,
+    _SIGMA_MIN,
     _reach_table,
     diameter,
     distance_matrices,
@@ -33,9 +35,15 @@ from .distance import (
     is_compatible,
     shortest_path_with_sign,
 )
-from .fileio import parse_corpus_spec, parse_graph, serialize_graph
+from .fileio import parse_corpus_spec, parse_graph, serialize_edges, serialize_graph
 from .oracle import generate
-from .power import associated_complete, first_incompatible_pair_within, power
+from .power import (
+    _close_pairs,
+    _completion_sigma,
+    associated_complete,
+    first_incompatible_pair_within,
+    power,
+)
 from .spectra import DEFAULT_TOL, adjacency_matrix, eigenvalues
 from .harness import THEOREM_ORDER
 
@@ -114,22 +122,31 @@ def _cmd_distance(args) -> int:
     return 0
 
 
+def _write_pairs(g: SignedGraph, n: int, sigma: tuple[int, ...]) -> None:
+    """Write the graph on V(g) joining the pairs at distance <= n, signed by sigma."""
+    us, vs, ms = _close_pairs(g, n)
+    sys.stdout.write(serialize_edges(g.vertex_count, us, vs, np.take(sigma, ms)))
+
+
 def _cmd_power(args) -> int:
     g = _load(args.file)
-    pr = power(g, args.n)
+    power(g, args.n)  # checks the exponent and connectivity
     pair = first_incompatible_pair_within(g, args.n) if args.mode == "unique" else None
     if pair is not None:
         raise NonUniquePowerError(
             f"incompatible pair {pair[0]} {pair[1]} at distance <= {args.n}"
         )
-    chosen = pr.power_min if args.mode == "min" else pr.power_max
-    sys.stdout.write(serialize_graph(chosen))
+    _write_pairs(g, args.n, _SIGMA_MIN if args.mode == "min" else _SIGMA_MAX)
     return 0
 
 
 def _cmd_complete(args) -> int:
     g = _load(args.file)
-    sys.stdout.write(serialize_graph(associated_complete(g, args.mode)))
+    sigma = _completion_sigma(g, args.mode)
+    if sigma is None:
+        sys.stdout.write(serialize_graph(g))
+    else:
+        _write_pairs(g, diameter(g), sigma)  # every pair
     return 0
 
 

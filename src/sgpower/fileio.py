@@ -14,12 +14,19 @@ constructor's edge errors (loops, duplicates, out-of-range ends) are
 re-raised as the same error types with the line number in front, so the
 first bad line is the one reported.
 
+The writer `serialize_edges` takes row-major edge arrays: `power` and
+`complete` stream from the sign table through it, building no graph.
+
 Corpus spec files are `key = value` lines (# comments allowed) with
 keys: seed, min_vertices, max_vertices, edge_probability, trials and
-optionally require (comma-separated requirement names).
+optionally require (comma-separated requirement names).  A bad value
+is reported at its key's line; a bad combination (min_vertices above
+max_vertices, say) at the later line of the keys involved.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .core import (
     BadSignError,
@@ -32,7 +39,6 @@ from .core import (
 from .oracle import CorpusSpec
 
 SIGN_TOKENS = {"+": 1, "1": 1, "-": -1, "-1": -1}
-_SIGN_CHARS = {1: "+", -1: "-"}
 
 
 class GraphSyntaxError(SignedGraphError):
@@ -90,19 +96,42 @@ def parse_graph(text: str) -> SignedGraph:
         raise type(exc)(f"line {ln}: {exc}") from None
 
 
-def serialize_graph(g: SignedGraph, comments: tuple[str, ...] = ()) -> str:
-    out = ["sg 1"]
-    out.extend(f"# {c}" for c in comments)
-    out.append(f"n {g.vertex_count}")
-    out.extend(f"{u} {v} {_SIGN_CHARS[s]}" for u, v, s in g.edges)
+def serialize_edges(n: int, us, vs, signs, comments: tuple[str, ...] = ()) -> str:
+    """Text of the graph on n vertices with edges (us[i], vs[i], signs[i]), sorted
+    row-major with u < v.  Each row is one `str.join` whose separator repeats the
+    row's head "u ", over the tails "v +" / "v -" looked up at 2v + (sign < 0)."""
+    tails = [f"{v} {c}" for v in range(n) for c in "+-"]
+    keys = (2 * np.asarray(vs, dtype=np.intp) + (np.asarray(signs) < 0)).tolist()
+    row_ends = np.bincount(np.asarray(us, dtype=np.intp), minlength=n).cumsum().tolist()
+    out = ["sg 1", *(f"# {c}" for c in comments), f"n {n}"]
+    lo = 0
+    for u, hi in enumerate(row_ends):
+        if hi > lo:
+            out.append(f"{u} " + f"\n{u} ".join(map(tails.__getitem__, keys[lo:hi])))
+            lo = hi
     return "\n".join(out) + "\n"
 
 
-_SPEC_KEYS = ("seed", "min_vertices", "max_vertices", "edge_probability", "trials", "require")
+def serialize_graph(g: SignedGraph, comments: tuple[str, ...] = ()) -> str:
+    us, vs, signs = np.array(g.edges, dtype=np.intp).reshape(-1, 3).T
+    return serialize_edges(g.vertex_count, us, vs, signs, comments)
+
+
+def _requirements(text: str) -> frozenset[str]:
+    return frozenset(part.strip() for part in text.split(",") if part.strip())
+
+
+# each key's value type; "require" is optional
+_SPEC_KEYS = {"seed": int, "min_vertices": int, "max_vertices": int, "edge_probability": float,
+              "trials": int, "require": _requirements}
+# the keys behind each CorpusSpec check, by the first word of its message
+_CHECKED_KEYS = {"vertex_range": ("min_vertices", "max_vertices"), "unknown": ("require",),
+                 "edge_probability": ("edge_probability",), "trials": ("trials",)}
 
 
 def parse_corpus_spec(text: str) -> CorpusSpec:
-    values: dict[str, str] = {}
+    values: dict[str, object] = {}
+    lines: dict[str, int] = {}
     for i, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -115,20 +144,22 @@ def parse_corpus_spec(text: str) -> CorpusSpec:
             raise GraphSyntaxError(i, f"unknown key {key!r}")
         if key in values:
             raise GraphSyntaxError(i, f"key {key!r} given twice")
-        values[key] = value.strip()
+        try:
+            values[key] = _SPEC_KEYS[key](value.strip())
+        except ValueError as exc:
+            raise GraphSyntaxError(i, str(exc)) from None
+        lines[key] = i
     missing = [k for k in _SPEC_KEYS if k != "require" and k not in values]
     if missing:
         raise GraphSyntaxError(len(text.splitlines()) + 1, f"missing keys: {', '.join(missing)}")
-    require = frozenset(
-        part.strip() for part in values.get("require", "").split(",") if part.strip()
-    )
     try:
         return CorpusSpec(
-            seed=int(values["seed"]),
-            vertex_range=(int(values["min_vertices"]), int(values["max_vertices"])),
-            edge_probability=float(values["edge_probability"]),
-            require=require,
-            trials=int(values["trials"]),
+            seed=values["seed"],
+            vertex_range=(values["min_vertices"], values["max_vertices"]),
+            edge_probability=values["edge_probability"],
+            require=values.get("require", frozenset()),
+            trials=values["trials"],
         )
-    except ValueError as exc:
-        raise GraphSyntaxError(0, str(exc)) from None
+    except ValueError as exc:  # named at the later line of the keys it checks
+        keys = _CHECKED_KEYS.get(str(exc).split()[0], lines)
+        raise GraphSyntaxError(max(lines[k] for k in keys), str(exc)) from None

@@ -22,7 +22,12 @@ exponent or a disconnected graph raises there; everything else is read
 off the table on first access and then kept.  Reading `unique`, or the
 keys of a witness map, builds no graph; a witness map's keys are the
 edges of its power in row-major order (u < v); each witness is built
-the first time it is read.
+the first time it is read.  The first power is the graph itself: each
+edge is the one shortest path between its ends.
+
+A power or a completion is only a choice of pairs and a sign lookup in
+the table, so the `power` and `complete` commands write theirs straight
+from `_close_pairs` through `fileio.serialize_edges` and build no graph.
 """
 
 from __future__ import annotations
@@ -53,13 +58,13 @@ from .distance import (
 Witnesses = Mapping[tuple[int, int], tuple[int, ...]]
 
 
-def _close_pairs(g: SignedGraph, n: int) -> tuple[list[int], list[int], list[int]]:
+def _close_pairs(g: SignedGraph, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(us, vs, mask entries) of the pairs u < v at distance <= n, row-major."""
     dist, mask = _reach_table(g)
     flat = np.flatnonzero(dist <= n)
     us, vs = np.divmod(flat, g.vertex_count)
     upper = us < vs
-    return us[upper].tolist(), vs[upper].tolist(), mask.ravel()[flat[upper]].tolist()
+    return us[upper], vs[upper], mask.ravel()[flat[upper]]
 
 
 class _LazyWitnesses(Mapping):
@@ -107,7 +112,7 @@ class _LazyWitnesses(Mapping):
 
     def __iter__(self):
         us, vs, _ = _close_pairs(self._g, self._n)
-        return zip(us, vs)
+        return zip(us.tolist(), vs.tolist())
 
     def __len__(self) -> int:
         # dist is symmetric and its diagonal (0) is always within n
@@ -148,10 +153,12 @@ class PowerResult:
         return self._power(_SIGMA_MIN)
 
     @cached_property
-    def _close(self) -> tuple[list[int], list[int], list[int]]:
-        return _close_pairs(self._g, self.n)  # shared by both powers
+    def _close(self) -> tuple[list[int], ...]:
+        return tuple(a.tolist() for a in _close_pairs(self._g, self.n))  # shared by both powers
 
     def _power(self, sigma: tuple[int, ...]) -> SignedGraph:
+        if self.n == 1:  # each edge is the one shortest path between its ends
+            return self._g
         us, vs, ms = self._close
         return SignedGraph(self._g.vertex_count, zip(us, vs, map(sigma.__getitem__, ms)))
 
@@ -189,16 +196,17 @@ def is_power_unique(g: SignedGraph, n: int) -> bool:
     return d0 is None or n < d0
 
 
-def associated_complete(g: SignedGraph, mode: str) -> SignedGraph:
-    """Complete graph on V(g) with distance-derived signs on non-edges.
+def _completion_sigma(g: SignedGraph, mode: str) -> tuple[int, ...] | None:
+    """The signs of g's `mode` completion, indexed by a mask entry, or None
+    when g is complete and so its own completion.
 
-    A complete g is returned as is.  Every pair's sign is read off the mask,
-    an edge's too: an edge is the only shortest path between its ends."""
+    Raises ValueError for an unknown mode, and NotCompatibleError in mode
+    "pm" when some pair of g has shortest paths of both signs."""
     if mode not in ("max", "min", "pm"):
         raise ValueError(f"mode must be 'max', 'min' or 'pm', got {mode!r}")
     n = g.vertex_count
     if g.edge_count == n * (n - 1) // 2:  # no pair to add, and compatible
-        return g
+        return None
     if mode == "pm":
         bad = first_incompatible_pair(g)
         if bad is not None:
@@ -206,7 +214,18 @@ def associated_complete(g: SignedGraph, mode: str) -> SignedGraph:
                 f"pair {bad} has shortest paths of both signs; "
                 "the common-sign completion is undefined"
             )
-    sigma = _SIGMA_MIN if mode == "min" else _SIGMA_MAX  # "pm": the two coincide
+    return _SIGMA_MIN if mode == "min" else _SIGMA_MAX  # "pm": the two coincide
+
+
+def associated_complete(g: SignedGraph, mode: str) -> SignedGraph:
+    """Complete graph on V(g) with distance-derived signs on non-edges.
+
+    A complete g is returned as is.  Every pair's sign is read off the mask,
+    an edge's too: an edge is the only shortest path between its ends."""
+    sigma = _completion_sigma(g, mode)
+    if sigma is None:
+        return g
+    n = g.vertex_count
     rows = enumerate(_reach_table(g)[1].tolist())
     return SignedGraph(n, [(u, v, sigma[row[v]]) for u, row in rows for v in range(u + 1, n)])
 

@@ -7,6 +7,7 @@ Exit code contract: 0 success, 1 domain error (error name on stderr),
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import tempfile
 from pathlib import Path
@@ -15,7 +16,19 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sgpower import CorpusSpec, generate, lift_path, parse_graph, power, serialize_graph, walk_sign
+from sgpower import (
+    CorpusSpec,
+    SignedGraph,
+    SignedGraphError,
+    associated_complete,
+    diameter,
+    generate,
+    lift_path,
+    parse_graph,
+    power,
+    serialize_graph,
+    walk_sign,
+)
 from sgpower.cli import main
 from sgpower.harness import THEOREM_ORDER
 
@@ -149,6 +162,68 @@ def test_complete_modes(capsys, c4_file, c7_file):
     code, out, _ = run(capsys, "complete", c7_file)
     assert code == 0
     assert parse_graph(out).edge_count == 21
+
+
+# -- power and complete against the library -------------------------------------------
+
+
+def _library_run(build):
+    """(exit code, stdout, stderr) that the CLI owes for the graph `build()` returns."""
+    try:
+        return 0, serialize_graph(build()), ""
+    except SignedGraphError as exc:
+        return 1, "", f"{type(exc).__name__.removesuffix('Error')}: {exc}\n"
+
+
+def assert_cli_matches_library(g, exponents):
+    """`power -n N --mode M` and `complete --mode M` print what the library builds."""
+    cases = [
+        (["power", "-n", str(n), "--mode", m], lambda n=n, m=m: getattr(power(g, n), f"power_{m}"))
+        for n in exponents
+        for m in ("max", "min")
+    ]
+    cases += [
+        (["complete", "--mode", mode], lambda mode=mode: associated_complete(g, mode))
+        for mode in ("max", "min", "pm")
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        f = Path(tmp) / "g.sg"
+        f.write_text(serialize_graph(g))
+        for argv, build in cases:
+            assert run_captured([*argv, str(f)]) == _library_run(build), argv
+
+
+def _exponents(g):
+    d = diameter(g)
+    return (0, 1, 2, d, d + 1, 10**20)
+
+
+@st.composite
+def complete_signed_graphs(draw):
+    k = draw(st.integers(1, 7))
+    pairs = list(itertools.combinations(range(k), 2))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=len(pairs), max_size=len(pairs)))
+    return SignedGraph(k, [(u, v, s) for (u, v), s in zip(pairs, signs)])
+
+
+@given(st.one_of(connected_signed_graphs(), complete_signed_graphs()))
+@settings(max_examples=60, deadline=None)
+def test_power_and_complete_print_what_the_library_builds(g):
+    assert_cli_matches_library(g, _exponents(g))
+
+
+def test_power_and_complete_print_what_the_library_builds_on_three_digit_ids():
+    g = next(generate(CorpusSpec(11, (120, 120), 0.03)))
+    assert_cli_matches_library(g, _exponents(g))
+
+
+@pytest.mark.parametrize(
+    "g",
+    [c4_one_negative(), SignedGraph(4, [(0, 1, 1), (2, 3, -1)]), SignedGraph(3, [(0, 1, -1)])],
+    ids=["incompatible", "disconnected", "isolated vertex"],
+)
+def test_power_and_complete_fail_like_the_library(g):
+    assert_cli_matches_library(g, (0, 1, 2))
 
 
 # -- balance / compatible -------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Graph file and corpus spec parsing, with 1-based line numbers on errors."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -15,6 +17,7 @@ from sgpower import (
     parse_graph,
     serialize_graph,
 )
+from sgpower.fileio import serialize_edges
 
 from conftest import connected_signed_graphs
 
@@ -43,16 +46,47 @@ def test_comments_and_blanks_anywhere():
     assert g.edges == ((0, 1, -1),)
 
 
-@given(connected_signed_graphs())
-@settings(max_examples=100)
-def test_round_trip(g):
-    assert parse_graph(serialize_graph(g)) == g
 
 
 def test_serialize_format_and_comments():
     g = SignedGraph(3, [(0, 1, 1), (1, 2, -1)])
     text = serialize_graph(g, comments=("hello", "world"))
     assert text == "sg 1\n# hello\n# world\nn 3\n0 1 +\n1 2 -\n"
+
+
+def reference_text(g, comments=()):
+    """The writer's output as one f-string per edge line."""
+    out = ["sg 1", *(f"# {c}" for c in comments), f"n {g.vertex_count}"]
+    out.extend(f"{u} {v} {'+' if s > 0 else '-'}" for u, v, s in g.edges)
+    return "\n".join(out) + "\n"
+
+
+def _random_graph(n, edges, seed):
+    rng = random.Random(seed)
+    pairs = rng.sample([(u, v) for u in range(n) for v in range(u + 1, n)], edges)
+    return SignedGraph(n, [(u, v, rng.choice((1, -1))) for u, v in pairs])
+
+
+@pytest.mark.parametrize(
+    "g",
+    [SignedGraph(1), SignedGraph(5), _random_graph(15, 40, 1), _random_graph(130, 900, 2)],
+    ids=["n1 no edges", "n5 no edges", "ids past 10", "ids past 100"],
+)
+@pytest.mark.parametrize("comments", [(), ("one",), ("trial 3", "  spaced  ")])
+def test_writer_matches_the_per_edge_format(g, comments):
+    text = serialize_graph(g, comments)
+    assert text == reference_text(g, comments)
+    us, vs, signs = map(list, zip(*g.edges)) if g.edges else ([], [], [])  # plain lists
+    assert serialize_edges(g.vertex_count, us, vs, signs, comments) == text
+    assert parse_graph(text) == g
+
+
+@given(connected_signed_graphs())
+@settings(max_examples=100)
+def test_round_trip(g):
+    text = serialize_graph(g)
+    assert text == reference_text(g)
+    assert parse_graph(text) == g
 
 
 def test_isolated_vertices_survive_round_trip():
@@ -168,3 +202,23 @@ def test_corpus_spec_errors():
     assert "missing keys" in str(e.value)
     with pytest.raises(GraphSyntaxError):
         parse_corpus_spec(SPEC.replace("0.35", "1.35"))  # invalid probability
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("seed = 1\nmin_vertices = x\n", 2),  # a value error: its key's line
+        ("seed = 1\n# note\n\nedge_probability = half\n", 4),
+        (SPEC.replace("trials = 200", "trials = 2.5"), 6),
+        (SPEC.replace("min_vertices = 3", "min_vertices = 12"), 4),  # min > max: the later key
+        ("max_vertices = 3\nseed = 1\ntrials = 2\nedge_probability = 0.5\nmin_vertices = 5\n", 5),
+        (SPEC.replace("0.35", "1.35"), 5),
+        (SPEC.replace("trials = 200", "trials = 0"), 6),
+        (SPEC.replace("two_connected", "two_connectd"), 7),
+    ],
+    ids=["int", "float", "trials", "min>max", "min>max later", "probability", "trials<1", "require"],
+)
+def test_corpus_spec_value_errors_name_the_line_of_their_key(text, line):
+    with pytest.raises(GraphSyntaxError) as e:
+        parse_corpus_spec(text)
+    assert e.value.line == line and str(e.value).startswith(f"line {line}: ")

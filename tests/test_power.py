@@ -197,7 +197,7 @@ def test_first_power_is_the_graph_itself():
     g = c4_one_negative()
     pr = power(g, 1)
     assert pr.unique
-    assert pr.power_max == g and pr.power_min == g
+    assert pr.power_max is g and pr.power_min is g
 
 
 def test_non_unique_square_of_the_one_negative_four_cycle():
