@@ -165,16 +165,11 @@ def verify_power_balance(g: SignedGraph, n: int) -> CheckOutcome:
         raise NotTwoConnectedError("the power balance equivalence needs a 2-connected graph")
     base = is_balanced(g).balanced
     pr = power(g, n)  # raises BadExponentError for n < 1
-    if pr.unique:
-        ok = base == is_balanced(pr.power_max).balanced
-        return CheckOutcome(ok, {} if ok else {"n": n, "balanced": base})
     # non-unique power: balance would force uniqueness, so base must be
     # unbalanced and so must both powers
-    both_unbalanced = (
-        not is_balanced(pr.power_max).balanced and not is_balanced(pr.power_min).balanced
-    )
-    ok = (not base) and both_unbalanced
-    detail: dict = {"non_unique": True}
+    powers = (pr.power_max,) if pr.unique else (pr.power_max, pr.power_min)
+    ok = (pr.unique or not base) and all(is_balanced(h).balanced == base for h in powers)
+    detail: dict = {} if pr.unique else {"non_unique": True}
     if not ok:
         detail.update({"n": n, "balanced": base})
     return CheckOutcome(ok, detail)
@@ -184,11 +179,9 @@ def verify_balanced_implies_power_compatible(g: SignedGraph, n: int) -> CheckOut
     """On a balanced 2-connected graph the n-th power is compatible."""
     if not is_two_connected(g):
         raise NotTwoConnectedError("this check needs a 2-connected graph")
-    if n < 1:
-        raise BadExponentError(f"power exponent must be >= 1, got {n}")
+    pr = power(g, n)  # raises BadExponentError for n < 1
     if not is_balanced(g).balanced:
         raise NotBalancedError("this check needs a balanced graph")
-    pr = power(g, n)
     if not pr.unique:
         return CheckOutcome(False, {"n": n, "reason": "power of a balanced graph not unique"})
     bad = first_incompatible_pair(pr.power_max)
@@ -199,13 +192,11 @@ def verify_balanced_implies_power_compatible(g: SignedGraph, n: int) -> CheckOut
 def verify_power_compat_implies_compat(g: SignedGraph, n: int) -> CheckOutcome:
     """With diameter(g) > n and a unique n-th power: a compatible power
     forces a compatible base graph."""
-    if n < 1:
-        raise BadExponentError(f"power exponent must be >= 1, got {n}")
+    pr = power(g, n)  # raises BadExponentError, then DisconnectedError
     if diameter(g) <= n:
         raise PreconditionViolatedError(f"diameter must exceed n = {n}")
-    if not is_power_unique(g, n):
+    if not pr.unique:
         raise PreconditionViolatedError(f"the {n}-th power is not unique")
-    pr = power(g, n)
     if not is_compatible(pr.power_max):
         return CheckOutcome(True, {"n": n, "vacuous": True})
     ok = is_compatible(g)

@@ -110,15 +110,12 @@ def _cmd_info(args) -> int:
 
 def _cmd_distance(args) -> int:
     g = _load(args.file)
-    dmax, dmin = distance_matrices(g)
-    if args.mode in ("max", "both"):
+    for mode, m in zip(("max", "min"), distance_matrices(g)):
         if args.mode == "both":
-            print("# max")
-        _print_matrix(dmax)
-    if args.mode in ("min", "both"):
-        if args.mode == "both":
-            print("# min")
-        _print_matrix(dmin)
+            print(f"# {mode}")
+        elif args.mode != mode:
+            continue
+        _print_matrix(m)
     return 0
 
 
@@ -326,6 +323,9 @@ def main(argv: list[str] | None = None) -> int:
         name = type(exc).__name__
         name = name[: -len("Error")] if name.endswith("Error") else name
         print(f"{name}: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's message names the array it could not allocate
+        print(f"Memory: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -125,9 +125,6 @@ class SignedGraph:
             self._cache["edges"] = out
         return out
 
-    def vertices(self) -> range:
-        return range(self.vertex_count)
-
     def has_edge(self, u: int, v: int) -> bool:
         key = (u, v) if u < v else (v, u)
         return key in self._sign_by_pair

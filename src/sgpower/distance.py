@@ -136,12 +136,13 @@ def _all_sources(g: SignedGraph) -> tuple[np.ndarray, np.ndarray, int, int | Non
     """
     n = g.vertex_count
     m = 2 * n
-    heads, ends, degrees = _cover_arcs(g)
+    # the table first, so a graph too large for memory fails before the cover is built
     flat = np.full(n * n, -1, dtype=np.int16 if n < 1 << 15 else np.int32)  # dist, row-major
     flat[:: n + 1] = 0
     # (s, c) -> key s * 2V + c, so a key's vertex pair is key >> 1 and its
     # other sign is key ^ 1.  stamp[key] >= 0 once the key has been reached.
     stamp = np.full(n * m, -1, dtype=np.int32)
+    heads, ends, degrees = _cover_arcs(g)
     frontier = np.arange(0, n * m, m + 2)  # (s, (s, +)) for every source s
     stamp[frontier] = 0
     remaining = n * n - n

@@ -4,7 +4,7 @@ Graph file format, one item per line:
 
     sg 1            header (format name and version)
     # ...           comment lines, ignored anywhere
-    n <count>       number of vertices (0-based indices)
+    n <count>       number of vertices (0-based indices), below 2^30
     <u> <v> <s>     one edge per line; s is one of +  -  1  -1
 
 Unknown tokens are errors.  Parse errors carry the 1-based line number.
@@ -73,6 +73,8 @@ def parse_graph(text: str) -> SignedGraph:
         raise GraphSyntaxError(ln, f"vertex count {fields[1]!r} is not an integer") from None
     if vertex_count < 1:
         raise GraphSyntaxError(ln, "vertex count must be positive")
+    if vertex_count >= 1 << 30:  # the sign table's key stamps take 8 V^2 bytes: 2^63 here
+        raise GraphSyntaxError(ln, f"vertex count must be below 2^30, got {vertex_count}")
 
     def edges():  # syntax and sign tokens only; the constructor checks the rest
         nonlocal ln

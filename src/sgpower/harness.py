@@ -36,8 +36,8 @@ from .balance import (
     verify_power_balance,
     verify_power_compat_implies_compat,
 )
-from .core import SignedGraph, is_two_connected, path_sign, walk_sign
-from .distance import _reach_table, diameter
+from .core import SignedGraph, bfs, is_two_connected, path_sign, walk_sign
+from .distance import diameter
 from .oracle import CorpusSpec, enumerate_shortest_paths, generate, oracle_signs
 from .power import associated_complete, check_diameter_power_theorem, is_power_unique, power
 from .spectra import balanced_spectrum_test, power_balance_spectrum_test
@@ -80,7 +80,7 @@ def _note(notes: dict[str, int], key: str) -> None:
 
 
 def _check_t1(g: SignedGraph, rng: random.Random, notes: dict[str, int]) -> str | None:
-    dist = _reach_table(g)[0].tolist()
+    dist = [bfs(g, u)[1] for u in range(g.vertex_count)]  # independent of the sign table
     pairs = [(u, v) for u in range(g.vertex_count) for v in range(u + 1, g.vertex_count)]
     single = {(u, v): oracle_signs(g, u, v).is_single for u, v in pairs}
     for n in _exponents(g):
@@ -112,42 +112,39 @@ def _sample_pairs(g: SignedGraph, rng: random.Random) -> list[tuple[int, int]]:
     return pairs[:_PAIRS_PER_TRIAL]
 
 
-def _check_l1(g: SignedGraph, rng: random.Random, notes: dict[str, int]) -> str | None:
+def _sampled_paths(g: SignedGraph, rng: random.Random, notes: dict[str, int], in_power: bool):
+    """(n, PowerResult, p) for each unique n-th power of g and each sampled
+    shortest path p of length >= 1: of g, or with `in_power` of the max power."""
     for n in _exponents(g):
-        if not is_power_unique(g, n):
+        pr = power(g, n)
+        if not pr.unique:
             _note(notes, "skipped_non_unique")
             continue
-        pr = power(g, n)
         for u, v in _sample_pairs(g, rng):
-            p = rng.choice(enumerate_shortest_paths(g, u, v))
-            k = len(p) - 1
-            if k == 0:
-                continue
-            lifted = lift_path(g, p, n)
-            if len(lifted) - 1 != math.ceil(k / n):
-                return f"n={n}: lift of {p} has length {len(lifted) - 1}"
-            if walk_sign(pr.power_max, lifted) != path_sign(g, p):
-                return f"n={n}: lift of {p} changed sign"
+            p = rng.choice(enumerate_shortest_paths(pr.power_max if in_power else g, u, v))
+            if len(p) > 1:
+                yield n, pr, p
+
+
+def _check_l1(g: SignedGraph, rng: random.Random, notes: dict[str, int]) -> str | None:
+    for n, pr, p in _sampled_paths(g, rng, notes, in_power=False):
+        lifted = lift_path(g, p, n)
+        if len(lifted) - 1 != math.ceil((len(p) - 1) / n):
+            return f"n={n}: lift of {p} has length {len(lifted) - 1}"
+        if walk_sign(pr.power_max, lifted) != path_sign(g, p):
+            return f"n={n}: lift of {p} changed sign"
     return None
 
 
 def _check_le(g: SignedGraph, rng: random.Random, notes: dict[str, int]) -> str | None:
-    for n in _exponents(g):
-        if not is_power_unique(g, n):
-            _note(notes, "skipped_non_unique")
-            continue
-        pr = power(g, n)
-        for u, v in _sample_pairs(g, rng):
-            p = rng.choice(enumerate_shortest_paths(pr.power_max, u, v))
-            k = len(p) - 1
-            if k == 0:
-                continue
-            w = project_path(pr.witnesses_max, p)
-            length = len(w) - 1
-            if not ((k - 1) * n + 1 <= length <= k * n):
-                return f"n={n}: projection of {p} has length {length}"
-            if walk_sign(g, w) != walk_sign(pr.power_max, p):
-                return f"n={n}: projection of {p} changed sign"
+    for n, pr, p in _sampled_paths(g, rng, notes, in_power=True):
+        k = len(p) - 1
+        w = project_path(pr.witnesses_max, p)
+        length = len(w) - 1
+        if not ((k - 1) * n + 1 <= length <= k * n):
+            return f"n={n}: projection of {p} has length {length}"
+        if walk_sign(g, w) != walk_sign(pr.power_max, p):
+            return f"n={n}: projection of {p} changed sign"
     return None
 
 
@@ -199,15 +196,12 @@ def _check_cbp(g: SignedGraph, rng: random.Random, notes: dict[str, int]) -> str
 
 
 def _check_sgs(g: SignedGraph, rng: random.Random, notes: dict[str, int]) -> str | None:
+    # the spectral test raises for an incompatible g, so every power of g is unique
     if balanced_spectrum_test(g) != is_balanced(g).balanced:
         return "spectral test disagrees with the direct balance test"
-    if is_two_connected(g):
-        n = min(2, diameter(g))
-        if is_power_unique(g, n):
-            if not power_balance_spectrum_test(g, n):
-                return f"n={n}: power balance disagrees with the spectral test"
-        else:
-            _note(notes, "skipped_non_unique")
+    n = min(2, diameter(g))
+    if is_two_connected(g) and not power_balance_spectrum_test(g, n):
+        return f"n={n}: power balance disagrees with the spectral test"
     return None
 
 

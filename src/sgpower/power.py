@@ -94,21 +94,18 @@ class _LazyWitnesses(Mapping):
                 pass
         return None
 
-    def _built(self, key: object) -> bool:
-        # exact tuples only: `key in dict` raises TypeError for a list
-        return type(key) is tuple and key in self._paths
-
     def __getitem__(self, key: tuple[int, int]) -> tuple[int, ...]:
-        if self._built(key):
-            return self._paths[key]
-        sign = self._sign(key)
-        if sign is None:
-            raise KeyError(key)
-        path = self._paths[key] = shortest_path_with_sign(self._g, key[0], key[1], sign)
+        # exact tuples only: `dict.get` raises TypeError for a list
+        path = self._paths.get(key) if type(key) is tuple else None
+        if path is None:
+            sign = self._sign(key)
+            if sign is None:
+                raise KeyError(key)
+            path = self._paths[key] = shortest_path_with_sign(self._g, key[0], key[1], sign)
         return path
 
     def __contains__(self, key: object) -> bool:
-        return self._built(key) or self._sign(key) is not None  # without building the witness
+        return self._sign(key) is not None  # without building the witness
 
     def __iter__(self):
         us, vs, _ = _close_pairs(self._g, self._n)
@@ -233,12 +230,10 @@ def associated_complete(g: SignedGraph, mode: str) -> SignedGraph:
 def check_diameter_power_theorem(g: SignedGraph, n: int) -> bool:
     """With diameter(g) <= n, the n-th powers equal the completions, and
     for a compatible graph the (unique) power is the common completion."""
-    if n < 1:
-        raise BadExponentError(f"power exponent must be >= 1, got {n}")
+    pr = power(g, n)  # raises BadExponentError, then DisconnectedError
     diam = diameter(g)
     if diam > n:
         raise PreconditionViolatedError(f"diameter {diam} exceeds n = {n}")
-    pr = power(g, n)
     return (
         pr.power_max == associated_complete(g, "max")
         and pr.power_min == associated_complete(g, "min")

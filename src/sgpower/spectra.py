@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    NonUniquePowerError,
     NotCompatibleError,
     NotTwoConnectedError,
     SignedGraph,
@@ -30,7 +29,7 @@ from .core import (
 )
 from .balance import is_balanced
 from .distance import is_compatible
-from .power import associated_complete, is_power_unique, power
+from .power import associated_complete, power
 
 DEFAULT_TOL = 1e-10
 
@@ -140,16 +139,13 @@ def balanced_spectrum_test(g: SignedGraph) -> bool:
 
 
 def power_balance_spectrum_test(g: SignedGraph, n: int) -> bool:
-    """On a 2-connected compatible graph with a unique n-th power: the
-    power is balanced iff the spectral balance test passes on g.
+    """On a 2-connected compatible graph, whose every power is unique: the
+    n-th power is balanced iff the spectral balance test passes on g.
     Returns True when the two routes agree."""
     if not is_two_connected(g):
         raise NotTwoConnectedError("the power spectrum criterion needs a 2-connected graph")
     if not is_compatible(g):
         raise NotCompatibleError("the power spectrum criterion needs a compatible graph")
-    if not is_power_unique(g, n):
-        raise NonUniquePowerError(f"the {n}-th power of the graph is not unique")
-    pr = power(g, n)
-    direct = is_balanced(pr.power_max).balanced
+    direct = is_balanced(power(g, n).power_max).balanced
     spectral = balanced_spectrum_test(g)
     return direct == spectral

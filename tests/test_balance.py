@@ -36,6 +36,8 @@ from sgpower import (
     verify_power_compat_implies_compat,
     walk_sign,
 )
+from sgpower import balance
+from sgpower.balance import BalanceReport
 from sgpower.oracle import enumerate_shortest_paths
 
 from conftest import (
@@ -243,6 +245,26 @@ def test_power_balance_with_non_unique_power():
     assert out.detail == {"non_unique": True}
 
 
+@pytest.mark.parametrize(
+    "g, detail",
+    [
+        (switch(cycle_graph([1] * 7), [2, 5]), [("n", 2), ("balanced", True)]),
+        (c4_one_negative(), [("non_unique", True), ("n", 2), ("balanced", False)]),
+    ],
+)
+def test_power_balance_failure_detail(monkeypatch, g, detail):
+    # is_balanced lies about every graph but g, so the square looks wrong; the
+    # detail, in this key order, reaches the verify bundle's manifest
+    honest = balance.is_balanced
+
+    def lying(h):
+        return honest(h) if h is g else BalanceReport(not honest(h).balanced)
+
+    monkeypatch.setattr(balance, "is_balanced", lying)
+    out = verify_power_balance(g, 2)
+    assert not out and list(out.detail.items()) == detail
+
+
 @given(connected_signed_graphs(min_vertices=3), st.integers(1, 3))
 @settings(max_examples=80)
 def test_power_balance_property(g, n):
@@ -261,6 +283,11 @@ def test_balanced_implies_power_compatible_preconditions():
         verify_balanced_implies_power_compatible(path_graph([1, 1]), 1)
     with pytest.raises(NotBalancedError):
         verify_balanced_implies_power_compatible(all_negative_cycle(5), 1)
+    # precedence: 2-connectivity, then the exponent, then balance
+    with pytest.raises(NotTwoConnectedError):
+        verify_balanced_implies_power_compatible(path_graph([1, 1]), 0)
+    with pytest.raises(BadExponentError):
+        verify_balanced_implies_power_compatible(all_negative_cycle(5), 0)
 
 
 @given(st.sets(st.integers(0, 7)), st.integers(1, 4))
@@ -287,6 +314,12 @@ def test_compat_transfer_preconditions():
         verify_power_compat_implies_compat(tailed, 2)
     with pytest.raises(BadExponentError):
         verify_power_compat_implies_compat(g, 0)
+    # precedence: the exponent, then connectivity, then the diameter
+    split = SignedGraph(3, [(0, 1, 1)])
+    with pytest.raises(BadExponentError):
+        verify_power_compat_implies_compat(split, 0)
+    with pytest.raises(DisconnectedError):
+        verify_power_compat_implies_compat(split, 1)
 
 
 def test_compat_transfer_applicable_and_vacuous_cases():

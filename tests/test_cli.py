@@ -29,6 +29,7 @@ from sgpower import (
     serialize_graph,
     walk_sign,
 )
+from sgpower import distance
 from sgpower.cli import main
 from sgpower.harness import THEOREM_ORDER
 
@@ -446,6 +447,34 @@ def test_parse_error_reports_line(capsys, tmp_path):
     assert err.startswith("LoopEdge: line 3:")
 
 
+@pytest.mark.parametrize("count", [10**20, 2**30])
+def test_vertex_counts_past_the_limit_are_rejected_at_their_line(capsys, tmp_path, count):
+    f = tmp_path / "huge.sg"
+    f.write_text(f"sg 1\n# too many\nn {count}\n")
+    for argv in (
+        ["info"], ["distance"], ["power", "-n", "2"], ["complete"], ["balance"], ["compatible"],
+        ["spectrum"], ["lift", "-n", "1", "--path", "0"], ["project", "-n", "1", "--path", "0"],
+    ):
+        code, out, err = run(capsys, *argv, str(f))
+        assert (code, out) == (1, ""), argv
+        assert err == f"GraphSyntax: line 3: vertex count must be below 2^30, got {count}\n", argv
+
+
+@pytest.mark.parametrize(
+    "exc, line",
+    [
+        (MemoryError(), "Memory: out of memory"),
+        (MemoryError("Unable to allocate 8.00 EiB"), "Memory: Unable to allocate 8.00 EiB"),
+    ],
+)
+def test_a_table_too_large_for_memory_is_a_one_line_error(capsys, monkeypatch, c4_file, exc, line):
+    def out_of_memory(g):
+        raise exc
+
+    monkeypatch.setattr(distance, "_all_sources", out_of_memory)
+    assert run(capsys, "distance", c4_file) == (1, "", line + "\n")
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -493,7 +522,10 @@ _GRAPH_TEXT = st.one_of(
     st.builds(
         lambda header, count, lines: "\n".join([header, count, *lines]) + "\n",
         st.sampled_from(["sg 1", "sg 1", "sg 2", ""]),
-        st.sampled_from(["n 1", "n 3", "n 5", "n 6", "n 0", "n -2", "n x", "0 1 +"]),
+        st.sampled_from(
+            ["n 1", "n 3", "n 5", "n 6", "n 0", "n -2", "n x", "0 1 +",
+             "n 100000000000000000000", "n 1073741824"]
+        ),
         st.lists(st.one_of(_EDGE_LINE, st.sampled_from(["# note", "0 1", "0 1 + +"])), max_size=10),
     ),
 )

@@ -121,6 +121,10 @@ def test_missing_or_bad_count_line():
         parse_graph("sg 1\nn x\n")
     with pytest.raises(GraphSyntaxError):
         parse_graph("sg 1\nn 0\n")
+    for count in (2**30, 10**20):  # the sign table's key stamps would take 8 V^2 >= 2^63 bytes
+        with pytest.raises(GraphSyntaxError, match=rf"^line 3: .* below 2\^30, got {count}$"):
+            parse_graph(f"sg 1\n# big\nn {count}\n")
+    assert parse_graph(f"sg 1\nn {2**30 - 1}\n").vertex_count == 2**30 - 1
 
 
 def test_bad_edge_lines_carry_line_numbers():

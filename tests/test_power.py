@@ -342,6 +342,12 @@ def test_diameter_precondition_enforced():
     g = path_graph([1, 1, 1])  # diameter 3
     with pytest.raises(PreconditionViolatedError):
         check_diameter_power_theorem(g, 2)
+    # precedence: the exponent, then connectivity, then the diameter
+    split = SignedGraph(3, [(0, 1, 1)])
+    with pytest.raises(BadExponentError):
+        check_diameter_power_theorem(split, 0)
+    with pytest.raises(DisconnectedError):
+        check_diameter_power_theorem(split, 1)
 
 
 def test_exponents_past_int64_read_the_int16_table_like_the_diameter(capsys, tmp_path):
