@@ -25,6 +25,7 @@ from .core import (
 from .distance import (
     PathSigns,
     Reach,
+    build_tables,
     diameter,
     distance_matrices,
     first_incompatible_pair,

@@ -64,7 +64,15 @@ def is_balanced(g: SignedGraph) -> BalanceReport:
 
     Balanced: returns the switching labels, with label(0) = +1.
     Unbalanced: returns a negative cycle as a closed vertex sequence.
+    The report is cached on the (immutable) graph.
     """
+    report = g._cache.get("balance")
+    if report is None:
+        report = g._cache["balance"] = _balance_report(g)
+    return report
+
+
+def _balance_report(g: SignedGraph) -> BalanceReport:
     order, depth, parent = bfs(g)
     if len(order) < g.vertex_count:
         raise DisconnectedError(f"vertex {depth.index(-1)} unreachable from 0")

@@ -93,18 +93,24 @@ def _print_matrix(m) -> None:
 # -- subcommand handlers ----------------------------------------------------
 
 
+def _yes(flag: bool) -> str:
+    return "yes" if flag else "no"
+
+
 def _cmd_info(args) -> int:
     g = _load(args.file)
-    print(f"vertices {g.vertex_count}")
-    print(f"edges {g.edge_count}")
+    # every answer first, so a failing one leaves stdout empty
+    lines = [f"vertices {g.vertex_count}", f"edges {g.edge_count}"]
     connected = is_connected(g)
-    print(f"connected {'yes' if connected else 'no'}")
-    if not connected:
-        return 0
-    print(f"two-connected {'yes' if is_two_connected(g) else 'no'}")
-    print(f"balanced {'yes' if is_balanced(g).balanced else 'no'}")
-    print(f"compatible {'yes' if is_compatible(g) else 'no'}")
-    print(f"diameter {diameter(g)}")
+    lines.append(f"connected {_yes(connected)}")
+    if connected:
+        lines += [
+            f"two-connected {_yes(is_two_connected(g))}",
+            f"balanced {_yes(is_balanced(g).balanced)}",
+            f"compatible {_yes(is_compatible(g))}",
+            f"diameter {diameter(g)}",
+        ]
+    print("\n".join(lines))
     return 0
 
 

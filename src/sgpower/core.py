@@ -219,11 +219,20 @@ def bfs(g: SignedGraph, source: int = 0) -> tuple[list[int], list[int], list[int
 
 
 def is_connected(g: SignedGraph) -> bool:
-    return len(bfs(g)[0]) == g.vertex_count
+    # fewer than V - 1 edges cannot connect V vertices: no search, no V-long lists
+    return g.edge_count >= g.vertex_count - 1 and len(bfs(g)[0]) == g.vertex_count
 
 
 def is_two_connected(g: SignedGraph) -> bool:
-    """True iff g has at least 3 vertices, is connected, and has no cut vertex."""
+    """True iff g has at least 3 vertices, is connected, and has no cut
+    vertex.  The answer is cached on the (immutable) graph."""
+    answer = g._cache.get("two_connected")
+    if answer is None:
+        answer = g._cache["two_connected"] = _is_two_connected(g)
+    return answer
+
+
+def _is_two_connected(g: SignedGraph) -> bool:
     n = g.vertex_count
     if n < 3:
         return False

@@ -25,25 +25,35 @@ A level follows the cover's edge lists out of every frontier key, keeps
 the candidates whose vertex pair is still unreached, and drops repeated
 keys; everything is integer indexing, so nothing is approximate.
 
+One search serves a batch of B graphs at once (`build_tables`): each is
+padded to N vertices, N the largest vertex count of the batch, and source
+s of graph i owns the block of keys s * 2NB + 2N * i + c, c = 2v for
+(v, +) and 2v + 1 for (v, -).  So `key >> 1` is the vertex pair (s, i, v)
+and `key ^ 1` the same pair with the other sign, a key expands only into
+its own block, and `key % 2NB` is its cover vertex in the batch: a level
+makes the same numpy calls for B graphs as for one, and a graph alone is
+the batch of one.  The table holds B * N^2 padded pairs, not the
+(B * N)^2 of the graphs' disjoint union.
+
 Cost: a key enters the frontier at most once, so one pass follows each
 of the 4E cover arcs at most once per source: O(V * E) work in
-`diameter` vectorised levels, whatever the diameter.  Memory: 2 V^2
-bytes for `dist`, V^2 for `mask` and 8 V^2 for the key stamps, plus
-about 32 bytes per frontier key and 30 per candidate of one run of a
-level (see `_all_sources`).  A random graph of degree 6 at V=3000 peaks
-at about 290 MiB, 94 MiB of it the table.  The result is cached on
-the (immutable) graph as two arrays, `dist` (int16 hop distances, -1
-when unreached; int32 from 2^15 vertices) and `mask` (uint8, bit 0 set
-when a positive shortest path exists, bit 1 when a negative one does),
-and two facts of the build: its last level, the diameter, and d0, the
-first level that reached a pair with both signs (None if none).
+`diameter` vectorised levels, whatever the diameter.  Memory: about 11
+bytes per padded pair, 2 for `dist`, 1 for `mask` and 8 for the key
+stamps, plus about 32 bytes per frontier key and 30 per candidate of
+one run of a level (see `_all_sources`).  A random graph of degree 6 at
+V=3000 peaks at about 290 MiB, 94 MiB of it the table.  The result is
+cached on the (immutable) graph as two arrays, `dist` (int16 hop
+distances, -1 when unreached; int32 from 2^15 vertices) and `mask`
+(uint8, bit 0 set when a positive shortest path exists, bit 1 when a
+negative one does), and two facts of the build: the diameter, and d0,
+the first level that reached a pair with both signs (None if none).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -77,91 +87,118 @@ class Reach(NamedTuple):
 
 
 _POS, _NEG, _BOTH = 1, 2, 3  # bits of a `mask` entry
-_RUN_BUDGET = 1 << 15  # candidates one run of a BFS level expands at once
+_RUN_BUDGET = 1 << 15  # candidates one run of a BFS level expands, and padded pairs of one batch
 # sigma_max / sigma_min / PathSigns indexed by a mask entry (never 0)
 _SIGMA_MAX = (0, 1, -1, 1)
 _SIGMA_MIN = (0, 1, -1, -1)
 _SIGNS = (None, PathSigns(True, False), PathSigns(False, True), PathSigns(True, True))
 
 
-def _cover_arcs(g: SignedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Edge lists of the signed double cover: (heads, ends, degrees).
+def _cover_arcs(graphs: Sequence[SignedGraph], n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Edge lists of the batch's signed double covers: (steps, ends, degrees).
 
-    Cover vertex (v, +) has index 2v and (v, -) index 2v + 1, and an
-    edge of sign s joins (x, e) to (y, e * s).  The arcs out of cover
-    vertex c are heads[ends[c] - degrees[c] : ends[c]], read off the
-    edge map in no set order (the table does not depend on it).
+    Cover vertex (v, +) of graph i has index 2n*i + 2v and (v, -) index
+    2n*i + 2v + 1, and an edge of sign s joins (x, e) to (y, e * s).  An
+    arc is stored as the step from its tail to its head, so the arcs out
+    of cover vertex c lead to c + steps[ends[c] - degrees[c] : ends[c]],
+    read off the edge maps in no set order (the table does not depend on it).
     """
-    out: list[list[int]] = [[] for _ in range(2 * g.vertex_count)]
-    for (u, v), s in g._sign_by_pair.items():
-        a, b, neg = 2 * u, 2 * v, s < 0
-        out[a].append(b + neg)
-        out[a + 1].append(b + 1 - neg)
-        out[b].append(a + neg)
-        out[b + 1].append(a + 1 - neg)
+    out: list[list[int]] = [[] for _ in range(2 * n * len(graphs))]
+    for i, g in enumerate(graphs):
+        base = 2 * n * i
+        for (u, v), s in g._sign_by_pair.items():
+            a, d, neg = base + 2 * u, 2 * (v - u), s < 0  # (u, +) and (v, +) are a and a + d
+            out[a].append(d + neg)
+            out[a + 1].append(d - neg)
+            out[a + d].append(neg - d)
+            out[a + d + 1].append(-neg - d)
     degrees = np.fromiter(map(len, out), np.intp, len(out))
-    heads = np.fromiter(chain.from_iterable(out), np.intp, 4 * g.edge_count)
-    return heads, degrees.cumsum(), degrees
+    ends = degrees.cumsum()
+    return np.fromiter(chain.from_iterable(out), np.intp, ends[-1]), ends, degrees
 
 
-def _runs(frontier: np.ndarray, cum: np.ndarray, degrees: np.ndarray, m: int):
-    """Cut a source-sorted frontier, whose keys' cover degrees run up to
+def _runs(frontier: np.ndarray, cum: np.ndarray, degrees: np.ndarray, m: int, block: int):
+    """Cut a frontier sorted by source, whose keys' cover degrees run up to
     `cum`, into runs of the most whole sources that fit in _RUN_BUDGET
-    candidates, at least one source each.  Yields a run's keys, their
-    cover vertices and degrees, and the running total from the run's start.
+    candidates, at least one source each; a source owns `block` keys.
+    Yields a run's keys, their cover vertices (key % m) and degrees, and
+    the running total from the run's start.
     """
     lo = 0
     while lo < frontier.size:
         base = cum[lo - 1] if lo else 0
         hi = np.searchsorted(cum, base + _RUN_BUDGET, "right")
-        # back off to the first key of a source: source s owns keys [s * m, s * m + m)
+        # back off to the first key of a source: source q owns keys [q * block, q * block + block)
         if hi < frontier.size:
-            hi = np.searchsorted(frontier, max(frontier[hi] // m, frontier[lo] // m + 1) * m)
+            hi = np.searchsorted(frontier, max(frontier[hi] // block, frontier[lo] // block + 1) * block)
         keys = frontier[lo:hi]
         c = keys % m
         yield keys, c, degrees[c], cum[lo:hi] - base
         lo = hi
 
 
-def _all_sources(g: SignedGraph) -> tuple[np.ndarray, np.ndarray, int, int | None]:
-    """(dist, mask, last level, d0) by one BFS from all sources at once.
+def _expand(keys: np.ndarray, c: np.ndarray, deg: np.ndarray, cum: np.ndarray, steps, ends) -> np.ndarray:
+    """Every arc out of every key, in the keys' order, as a candidate key:
+    c, deg and cum are the keys' cover vertices, their degrees and the
+    running total of those, and steps and ends come from `_cover_arcs`."""
+    arc = (ends[c] - cum).repeat(deg)
+    arc += np.arange(arc.size)
+    cand = keys.repeat(deg)
+    cand += steps[arc]
+    return cand
 
-    Pairs in different components keep dist -1 and mask 0.  The frontier
-    stays sorted by source (a key s * 2V + c expands only into keys of
-    source s, and every filter keeps order), so a level is expanded in
-    runs of whole sources, each filtered, written and de-duplicated
-    before the next: two runs never share a vertex pair.  A run expands
-    at most _RUN_BUDGET candidates, unless its one source alone has more
-    (up to 4E on a dense graph); a level within the budget runs whole.
+
+def _all_sources(graphs: Sequence[SignedGraph]) -> list[tuple[np.ndarray, np.ndarray, int, int | None]]:
+    """(dist, mask, diameter, d0) of each graph, by one BFS from all the
+    sources of all the graphs at once.
+
+    Pairs in different components keep dist -1 and mask 0, and the
+    diameter is then the largest finite distance.  The frontier stays
+    sorted by source (a key (s * B + i) * 2N + c expands only into keys
+    of its own source, and every filter keeps order), so a level is
+    expanded in runs of whole sources, each filtered, written and
+    de-duplicated before the next: two runs never share a vertex pair.
+    A run expands at most _RUN_BUDGET candidates, unless its one source
+    alone has more (up to 4E on a dense graph); a level within the
+    budget runs whole.
     """
-    n = g.vertex_count
-    m = 2 * n
+    b = len(graphs)
+    sizes = [g.vertex_count for g in graphs]
+    n = max(sizes)
+    m = 2 * n * b  # keys of one source row; key % m is a cover vertex of the batch
     # the table first, so a graph too large for memory fails before the cover is built
-    flat = np.full(n * n, -1, dtype=np.int16 if n < 1 << 15 else np.int32)  # dist, row-major
-    flat[:: n + 1] = 0
-    # (s, c) -> key s * 2V + c, so a key's vertex pair is key >> 1 and its
-    # other sign is key ^ 1.  stamp[key] >= 0 once the key has been reached.
-    stamp = np.full(n * m, -1, dtype=np.int32)
-    heads, ends, degrees = _cover_arcs(g)
-    frontier = np.arange(0, n * m, m + 2)  # (s, (s, +)) for every source s
+    flat = np.empty(n * b * n, dtype=np.int16 if n < 1 << 15 else np.int32)  # dist, (s, i, v)
+    flat.fill(-1)
+    # (s, i, c) -> key s * m + 2N * i + c, so a key's vertex pair is key >> 1
+    # and its other sign is key ^ 1.  stamp[key] >= 0 once the key has been reached.
+    stamp = np.empty(n * m, dtype=np.int32)
+    stamp.fill(-1)
+    # (s, i, (s, +)) for every source s of every graph i, padding too (it has no arcs)
+    frontier = np.add.outer(np.arange(0, n * (m + 2), m + 2), np.arange(0, m, 2 * n)).ravel()
+    flat[frontier >> 1] = 0
     stamp[frontier] = 0
-    remaining = n * n - n
-    level = 0
-    first_both = None
-    while remaining:
+    steps, ends, degrees = _cover_arcs(graphs, n)
+    # level 1 follows the arcs out of each source's (s, +): one key per edge
+    # end (2E in all), each a new pair reached with one sign, so nothing is filtered
+    c = frontier % m
+    deg = degrees[c]
+    frontier = _expand(frontier, c, deg, deg.cumsum(), steps, ends)
+    flat[frontier >> 1] = 1
+    stamp[frontier] = 0
+    remaining = sum(v * v - v for v in sizes) - frontier.size
+    d0 = np.zeros(b, dtype=np.intp)  # 0 until a level reaches a pair with both signs
+    pending = b  # graphs whose d0 is still 0
+    level = 1
+    while remaining and frontier.size:
         level += 1
         c = frontier % m
         deg = degrees[c]
         cum = deg.cumsum()
         fits = cum[-1] <= _RUN_BUDGET
-        runs = ((frontier, c, deg, cum),) if fits else _runs(frontier, cum, degrees, m)
+        runs = ((frontier, c, deg, cum),) if fits else _runs(frontier, cum, degrees, m, 2 * n)
         parts = []
         for keys, c, deg, cum in runs:
-            # every arc out of every key of the run, as a candidate key
-            arc = (ends[c] - cum).repeat(deg)
-            arc += np.arange(arc.size)
-            cand = (keys - c).repeat(deg)
-            cand += heads[arc]
+            cand = _expand(keys, c, deg, cum, steps, ends)
             # keep the keys whose vertex pair is first reached at this level
             cand = cand[flat[cand >> 1] < 0]
             flat[cand >> 1] = level
@@ -170,20 +207,63 @@ def _all_sources(g: SignedGraph) -> tuple[np.ndarray, np.ndarray, int, int | Non
             stamp[cand] = index
             cand = cand[stamp[cand] == index]
             # pairs reached with both signs appear twice (both in this run)
-            both = np.count_nonzero(stamp[cand ^ 1] >= 0) // 2
-            remaining -= cand.size - both
-            if both and first_both is None:
-                first_both = level
+            both = stamp[cand ^ 1] >= 0
+            twice = np.count_nonzero(both)
+            remaining -= cand.size - twice // 2
+            if twice and pending:
+                if b == 1:  # a lone graph: no keys' graphs to tell apart
+                    d0[0], pending = level, 0
+                else:
+                    hit = cand[both] % m // (2 * n)  # the keys' graphs
+                    d0[hit[d0[hit] == 0]] = level
+                    pending = b - np.count_nonzero(d0)
             parts.append(cand)
         frontier = cand if fits else np.concatenate(parts)
         del parts, keys  # pieces of the new frontier and a view of the old one
-        if not frontier.size:
-            break
-    dist = flat.reshape(n, n)
-    mask = np.packbits(stamp.reshape(n, n, 2) >= 0, axis=2, bitorder="little").reshape(n, n)
+    dist = flat.reshape(n, b, n)
+    # a pair's two keys are adjacent, positive first: its mask is reached(+) | 2 * reached(-)
+    reached = (stamp >= 0).view(np.uint8)
+    reached[1::2] <<= 1
+    mask = (reached[0::2] | reached[1::2]).reshape(n, b, n)
     dist.setflags(write=False)
     mask.setflags(write=False)
-    return dist, mask, level, first_both
+    facts = zip(sizes, dist.max(axis=(0, 2)).tolist(), d0.tolist())
+    # graph i's table is a view of the batch's, contiguous when the batch is i alone
+    return [(dist[:v, i, :v], mask[:v, i, :v], diam, d or None) for i, (v, diam, d) in enumerate(facts)]
+
+
+def _batches(graphs: Iterable[SignedGraph]) -> Iterator[list[SignedGraph]]:
+    """Cut a stream of graphs, in order, into batches of B graphs of at most
+    N vertices with B * N^2 <= _RUN_BUDGET padded pairs, or of one graph."""
+    batch: list[SignedGraph] = []
+    n = 0
+    for g in graphs:
+        if batch and (len(batch) + 1) * max(n, g.vertex_count) ** 2 > _RUN_BUDGET:
+            yield batch
+            batch, n = [], 0
+        batch.append(g)
+        n = max(n, g.vertex_count)
+    if batch:
+        yield batch
+
+
+def _store(graphs: Sequence[SignedGraph]) -> None:
+    """Build the graphs' sign tables in one batch and cache them.  A
+    disconnected graph keeps its partial table, so reading it raises at once."""
+    for g, (dist, mask, *facts) in zip(graphs, _all_sources(graphs)):
+        if -1 in dist[0].tolist():  # a vertex unreachable from 0
+            g._cache["reach_partial"] = dist, mask
+        else:
+            g._cache["reach_facts"] = facts
+            g._cache["reach_table"] = dist, mask
+
+
+def build_tables(graphs: Iterable[SignedGraph]) -> None:
+    """Build and cache the sign table of each graph that has none, one BFS
+    per batch of `_batches`, as `_reach_table` would one at a time."""
+    todo = (g for g in graphs if "reach_table" not in g._cache and "reach_partial" not in g._cache)
+    for batch in _batches(todo):
+        _store(batch)
 
 
 def _reach_table(g: SignedGraph, source: int = 0) -> tuple[np.ndarray, np.ndarray]:
@@ -195,13 +275,12 @@ def _reach_table(g: SignedGraph, source: int = 0) -> tuple[np.ndarray, np.ndarra
     """
     table = g._cache.get("reach_table")
     if table is None:
-        dist, mask, *facts = g._cache.get("reach_partial") or _all_sources(g)
-        missing = np.flatnonzero(dist[source] < 0)
-        if missing.size:
-            g._cache["reach_partial"] = dist, mask
+        if "reach_partial" not in g._cache:
+            _store((g,))
+            table = g._cache.get("reach_table")
+        if table is None:
+            missing = np.flatnonzero(g._cache["reach_partial"][0][source] < 0)
             raise DisconnectedError(f"vertex {missing[0]} unreachable from {source}")
-        g._cache["reach_facts"] = facts
-        g._cache["reach_table"] = table = dist, mask
     return table
 
 

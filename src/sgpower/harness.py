@@ -5,6 +5,10 @@ and the key's position) and runs one check per trial graph, over every
 applicable power exponent.  All randomness flows through the corpus
 generator and a per-trial path-sampling generator, so a (theorem, seed,
 trials, max_vertices) quadruple always produces the identical report.
+The trial graphs are read in batches of at most `distance._RUN_BUDGET`
+padded vertex pairs, and each batch's sign tables are built by one
+search (`distance.build_tables`) before its graphs are checked, so
+memory stays bounded for any number of trials.
 
 Keys:
 
@@ -27,6 +31,8 @@ import math
 import random
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .balance import (
     is_balanced,
     lift_path,
@@ -37,7 +43,7 @@ from .balance import (
     verify_power_compat_implies_compat,
 )
 from .core import SignedGraph, bfs, is_two_connected, path_sign, walk_sign
-from .distance import diameter
+from .distance import _batches, build_tables, diameter, distance_matrices
 from .oracle import CorpusSpec, enumerate_shortest_paths, generate, oracle_signs
 from .power import associated_complete, check_diameter_power_theorem, is_power_unique, power
 from .spectra import balanced_spectrum_test, power_balance_spectrum_test
@@ -83,8 +89,10 @@ def _check_t1(g: SignedGraph, rng: random.Random, notes: dict[str, int]) -> str 
     dist = [bfs(g, u)[1] for u in range(g.vertex_count)]  # independent of the sign table
     pairs = [(u, v) for u in range(g.vertex_count) for v in range(u + 1, g.vertex_count)]
     single = {(u, v): oracle_signs(g, u, v).is_single for u, v in pairs}
+    dmax, dmin = distance_matrices(g)
+    reach, differ = np.abs(dmax), dmax != dmin
     for n in _exponents(g):
-        by_pairs = is_power_unique(g, n)
+        by_pairs = not differ[reach <= n].any()  # no pair within n whose signed distances differ
         pr = power(g, n)
         by_signs = pr.power_max == pr.power_min
         by_oracle = all(single[u, v] for u, v in pairs if dist[u][v] <= n)
@@ -253,12 +261,19 @@ def _corpus_graphs(theorem: str, trials: int, seed: int, max_vertices: int):
         yield next(streams[i % len(streams)])
 
 
+def _tabled(graphs):
+    """The graphs in order, read in batches whose sign tables are each built by one search."""
+    for batch in _batches(graphs):
+        build_tables(batch)
+        yield from batch
+
+
 def run_theorem(theorem: str, trials: int, seed: int, max_vertices: int = 8) -> TheoremReport:
     if theorem not in _CHECKS:
         raise ValueError(f"unknown theorem key {theorem!r}")
     check = _CHECKS[theorem]
     report = TheoremReport(theorem, trials, 0)
-    for trial, g in enumerate(_corpus_graphs(theorem, trials, seed, max_vertices)):
+    for trial, g in enumerate(_tabled(_corpus_graphs(theorem, trials, seed, max_vertices))):
         rng = random.Random(seed * 2**32 + trial * 977 + THEOREM_ORDER.index(theorem))
         problem = check(g, rng, report.notes)
         if problem is None:

@@ -36,7 +36,7 @@ from sgpower import (
     verify_power_compat_implies_compat,
     walk_sign,
 )
-from sgpower import balance
+from sgpower import balance, core
 from sgpower.balance import BalanceReport
 from sgpower.oracle import enumerate_shortest_paths
 
@@ -273,6 +273,19 @@ def test_power_balance_property(g, n):
     if not is_two_connected(g):
         return
     assert verify_power_balance(g, n)
+
+
+@pytest.mark.parametrize("check", [verify_power_balance, verify_balanced_implies_power_compatible])
+def test_balance_and_two_connectivity_are_answered_once_per_graph(monkeypatch, check):
+    g = switch(cycle_graph([1] * 6), [1, 4])
+    asked = []
+    report, two = balance._balance_report, core._is_two_connected
+    monkeypatch.setattr(balance, "_balance_report", lambda h: asked.append(("balance", h)) or report(h))
+    monkeypatch.setattr(core, "_is_two_connected", lambda h: asked.append(("2c", h)) or two(h))
+    for n in range(1, diameter(g) + 1):
+        assert check(g, n)
+    assert [what for what, h in asked if h is g] == ["2c", "balance"]
+    assert is_balanced(g) is is_balanced(g)
 
 
 # -- balanced base gives compatible powers ---------------------------------------

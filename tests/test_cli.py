@@ -468,11 +468,25 @@ def test_vertex_counts_past_the_limit_are_rejected_at_their_line(capsys, tmp_pat
     ],
 )
 def test_a_table_too_large_for_memory_is_a_one_line_error(capsys, monkeypatch, c4_file, exc, line):
-    def out_of_memory(g):
+    def out_of_memory(graphs):
         raise exc
 
     monkeypatch.setattr(distance, "_all_sources", out_of_memory)
     assert run(capsys, "distance", c4_file) == (1, "", line + "\n")
+
+
+def test_info_prints_nothing_before_an_error(capsys, monkeypatch, c4_file):
+    def out_of_memory(graphs):
+        raise MemoryError()
+
+    monkeypatch.setattr(distance, "_all_sources", out_of_memory)
+    assert run(capsys, "info", c4_file) == (1, "", "Memory: out of memory\n")
+
+
+def test_info_on_a_huge_sparse_graph_needs_no_search(capsys, tmp_path):
+    f = tmp_path / "sparse.sg"
+    f.write_text(f"sg 1\nn {2**29}\n0 1 +\n")
+    assert run(capsys, "info", str(f)) == (0, f"vertices {2**29}\nedges 1\nconnected no\n", "")
 
 
 @pytest.mark.parametrize(

@@ -136,6 +136,8 @@ def test_connectivity_basics():
     assert not is_connected(SignedGraph(2))
     assert is_connected(path_graph([1, 1]))
     assert not is_connected(SignedGraph(4, [(0, 1, 1), (2, 3, 1)]))
+    # fewer than V - 1 edges: answered without a search over 2^29 vertices
+    assert not is_connected(SignedGraph(2**29, [(0, 1, 1)]))
 
 
 def test_two_connected_basics():

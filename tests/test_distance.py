@@ -35,7 +35,7 @@ from sgpower import (
     sign_reachability,
 )
 from sgpower import core, distance
-from sgpower.distance import _reach_table
+from sgpower.distance import _reach_table, build_tables
 from sgpower.oracle import enumerate_shortest_paths
 
 import reach_reference
@@ -139,7 +139,7 @@ def test_reach_table_on_a_grid_matches_reference():
 def test_disconnected_graph_names_the_reference_pair(monkeypatch):
     builds = []
     kernel = distance._all_sources
-    monkeypatch.setattr(distance, "_all_sources", lambda g: builds.append(g) or kernel(g))
+    monkeypatch.setattr(distance, "_all_sources", lambda gs: builds.append(list(gs)) or kernel(gs))
     g = SignedGraph(6, [(0, 1, 1), (1, 2, -1), (3, 4, 1), (4, 5, -1)])
     with pytest.raises(DisconnectedError) as ref:
         reach_reference.reach_table(g)
@@ -153,7 +153,7 @@ def test_disconnected_graph_names_the_reference_pair(monkeypatch):
         with pytest.raises(DisconnectedError) as got:
             sign_reachability(g, source)
         assert str(got.value) == str(ref.value)
-    assert builds == [g]  # the partial table is kept, not rebuilt per call
+    assert builds == [[g]]  # the partial table is kept, not rebuilt per call
 
 
 # -- a level expanded in runs of whole sources ---------------------------------
@@ -207,7 +207,7 @@ def test_tiny_run_budgets_give_the_reference_table(budget, g):
     builds = []
     kernel = distance._all_sources
     with mock.patch.object(distance, "_RUN_BUDGET", budget), mock.patch.object(
-        distance, "_all_sources", lambda g: builds.append(g) or kernel(g)
+        distance, "_all_sources", lambda gs: builds.append(list(gs)) or kernel(gs)
     ):
         expected = _reference_arrays(g)
         if core.is_connected(g):
@@ -220,7 +220,7 @@ def test_tiny_run_budgets_give_the_reference_table(budget, g):
                     reach_reference.sign_reachability(g, source)
                 assert str(got.value) == str(ref.value)
             got = g._cache["reach_partial"]
-        assert builds == [g]  # the partial table is kept, not rebuilt per call
+        assert builds == [[g]]  # the partial table is kept, not rebuilt per call
     assert np.array_equal(got[0], expected[0])
     assert np.array_equal(got[1], expected[1])
 
@@ -243,6 +243,77 @@ def test_a_level_splits_into_runs_at_the_default_budget(monkeypatch):
     assert np.array_equal(mask, expected[1])
 
 
+# -- many graphs in one search ------------------------------------------------------
+
+
+def _reference_build(g):
+    """(dist, mask, diameter, d0) of the per-source reference: the diameter is
+    the largest finite distance, d0 the least distance of a pair with both signs."""
+    dist, mask = _reference_arrays(g)
+    both = dist[mask == 3]
+    return dist, mask, int(dist.max()), int(both.min()) if both.size else None
+
+
+@pytest.mark.parametrize("budget", (1, 2, 5, distance._RUN_BUDGET))
+@given(
+    st.lists(
+        st.one_of(connected_signed_graphs(min_vertices=1, max_vertices=10), signed_graphs()),
+        min_size=1,
+        max_size=12,
+    )
+)
+@settings(max_examples=40, deadline=None)
+def test_a_batch_gives_each_graph_its_lone_build(budget, graphs):
+    with mock.patch.object(distance, "_RUN_BUDGET", budget):
+        batch = distance._all_sources(graphs)
+        lone = [distance._all_sources([g])[0] for g in graphs]
+    assert len(batch) == len(graphs)
+    for g, got, alone in zip(graphs, batch, lone):
+        expected = _reference_build(g)
+        for build in (got, alone):
+            assert np.array_equal(build[0], expected[0])
+            assert np.array_equal(build[1], expected[1])
+            assert build[2:] == expected[2:]
+
+
+def test_a_disconnected_member_raises_as_alone_and_spares_its_batch(monkeypatch):
+    split = SignedGraph(6, [(0, 1, 1), (1, 2, -1), (3, 4, 1), (4, 5, -1)])
+    others = [c4_one_negative(), all_negative_cycle(5), path_graph([1, -1]), SignedGraph(1)]
+    builds = []
+    kernel = distance._all_sources
+    monkeypatch.setattr(distance, "_all_sources", lambda gs: builds.append(list(gs)) or kernel(gs))
+    build_tables([others[0], split, *others[1:]])
+    assert builds == [[others[0], split, *others[1:]]]
+    alone = SignedGraph(6, split.edges)
+    for source in range(split.vertex_count):
+        with pytest.raises(DisconnectedError) as got:
+            sign_reachability(split, source)
+        with pytest.raises(DisconnectedError) as ref:
+            sign_reachability(alone, source)
+        assert str(got.value) == str(ref.value)
+    for g in others:
+        expected = _reference_build(g)
+        dist, mask = _reach_table(g)
+        assert np.array_equal(dist, expected[0]) and np.array_equal(mask, expected[1])
+        assert (diameter(g), is_compatible(g)) == (expected[2], expected[3] is None)
+    build_tables([split, *others])  # every graph has its table, or its partial one
+    assert len(builds) == 2  # the lone build of `alone`, and nothing more
+
+
+def test_build_tables_cuts_batches_at_the_pair_budget(monkeypatch):
+    sizes = []
+    kernel = distance._all_sources
+    monkeypatch.setattr(distance, "_RUN_BUDGET", 100)
+    monkeypatch.setattr(
+        distance, "_all_sources", lambda gs: sizes.append([g.vertex_count for g in gs]) or kernel(gs)
+    )
+    graphs = [cycle_graph([1, -1] * k + [1]) for k in (1, 2, 3, 1, 6, 1, 2, 4)]  # 3 to 13 vertices
+    build_tables(graphs)
+    assert sum(sizes, []) == [g.vertex_count for g in graphs]  # in order, each once
+    assert all(len(c) == 1 or len(c) * max(c) ** 2 <= 100 for c in sizes)
+    assert sizes == [[3, 5], [7, 3], [13], [3, 5], [9]]
+
+
 def test_sign_table_build_memory_is_bounded():
     # expanding each level at once peaked at about 139 MiB here; runs of
     # whole sources over an int16 dist peak at about 30 MiB
@@ -250,7 +321,7 @@ def test_sign_table_build_memory_is_bounded():
     g._adjacency_rows()
     tracemalloc.start()
     try:
-        distance._all_sources(g)
+        distance._all_sources([g])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

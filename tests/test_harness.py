@@ -5,11 +5,12 @@ is genuinely false, so its report is allowed to contain failures; the
 test re-validates that every reported counterexample is real.
 """
 
+import importlib
 import random
 
 import pytest
 
-from sgpower import associated_complete, harness, is_balanced, power
+from sgpower import associated_complete, distance, harness, is_balanced, power
 from sgpower.harness import THEOREM_ORDER, run_many, run_theorem
 
 from conftest import all_negative_cycle, c4_one_negative, cycle_graph, path_graph
@@ -95,3 +96,36 @@ def test_l3_completes_the_base_graph_once_per_mode(monkeypatch, g):
     harness._check_l3(g, random.Random(0), {})
     want = ["max", "min", "pm"] if is_balanced(g).balanced else ["max", "min"]
     assert base_calls == want  # whatever the number of exponents
+
+
+@pytest.mark.parametrize("name", [t for t in THEOREM_ORDER if t != "sgs"])
+def test_the_base_graphs_tables_are_built_in_one_call(monkeypatch, name):
+    # sgs draws compatible graphs, so its generator builds each candidate's table
+    calls = []
+    kernel = distance._all_sources
+    monkeypatch.setattr(distance, "_all_sources", lambda gs: calls.append(list(gs)) or kernel(gs))
+    run_theorem(name, 10, seed=4)
+    assert len(calls[0]) == 10
+    if name == "diam":  # reads nothing but the base graphs' tables
+        assert len(calls) == 1
+
+
+def test_trial_batches_stay_within_the_pair_budget(monkeypatch):
+    expected = _snapshot(run_theorem("diam", 40, seed=2, max_vertices=14))
+    sizes = []
+    kernel = distance._all_sources
+    monkeypatch.setattr(distance, "_RUN_BUDGET", 200)
+    monkeypatch.setattr(
+        distance, "_all_sources", lambda gs: sizes.append([g.vertex_count for g in gs]) or kernel(gs)
+    )
+    assert _snapshot(run_theorem("diam", 40, seed=2, max_vertices=14)) == expected
+    assert sum(map(len, sizes)) == 40 and max(map(len, sizes)) > 1
+    assert all(len(c) == 1 or len(c) * max(c) ** 2 <= 200 for c in sizes)
+
+
+def test_t1_reads_power_uniqueness_by_pairs_apart_from_the_flag(monkeypatch):
+    # a wrong uniqueness flag must disagree with the pair route, not repeat it
+    monkeypatch.setattr(importlib.import_module("sgpower.power"), "is_power_unique", lambda g, n: True)
+    monkeypatch.setattr(harness, "is_power_unique", lambda g, n: True)
+    problem = harness._check_t1(c4_one_negative(), random.Random(0), {})
+    assert problem.startswith("n=2: uniqueness routes disagree (pairs=False signs=False flag=True")
