@@ -193,7 +193,7 @@ def _cmd_lift(args) -> int:
     g = _load(args.file)
     lifted = lift_path(g, args.path, args.n)
     # a step (distance <= n) is + in the max power iff a shortest path is (mask bit 0)
-    negative = np.count_nonzero(_reach_table(g)[1][lifted[:-1], lifted[1:]] & 1 == 0)
+    negative = np.count_nonzero(_reach_table(g).mask[lifted[:-1], lifted[1:]] & 1 == 0)
     print("path " + " ".join(str(v) for v in lifted))
     print("sign " + _sign_char(-1 if negative % 2 else 1))
     return 0
@@ -205,8 +205,9 @@ def _cmd_project(args) -> int:
     if not pr.unique:
         raise NonUniquePowerError(f"the {args.n}-th power of the graph is not unique")
     w = project_path(pr.witnesses_max, args.path)
+    sign = walk_sign(g, w)  # validates w before the first line is printed
     print("walk " + " ".join(str(v) for v in w))
-    print("sign " + _sign_char(walk_sign(g, w)))
+    print("sign " + _sign_char(sign))
     return 0
 
 

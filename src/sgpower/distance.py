@@ -42,11 +42,12 @@ bytes per padded pair, 2 for `dist`, 1 for `mask` and 8 for the key
 stamps, plus about 32 bytes per frontier key and 30 per candidate of
 one run of a level (see `_all_sources`).  A random graph of degree 6 at
 V=3000 peaks at about 290 MiB, 94 MiB of it the table.  The result is
-cached on the (immutable) graph as two arrays, `dist` (int16 hop
-distances, -1 when unreached; int32 from 2^15 vertices) and `mask`
-(uint8, bit 0 set when a positive shortest path exists, bit 1 when a
-negative one does), and two facts of the build: the diameter, and d0,
-the first level that reached a pair with both signs (None if none).
+cached on the (immutable) graph as one `_Table` record: two arrays, `dist`
+(int16 hop distances, -1 when unreached; int32 from 2^15 vertices) and
+`mask` (uint8, bit 0 set when a positive shortest path exists, bit 1 when
+a negative one does), and three facts of the build: the diameter, d0,
+the first level that reached a pair with both signs (None if none), and
+whether the graph is connected.  Every reader goes through `_reach_table`.
 """
 
 from __future__ import annotations
@@ -84,6 +85,16 @@ class PathSigns:
 class Reach(NamedTuple):
     distance: int
     signs: PathSigns
+
+
+class _Table(NamedTuple):
+    """One graph's sign table and the facts of its build."""
+
+    dist: np.ndarray
+    mask: np.ndarray
+    diameter: int  # the largest finite distance
+    d0: int | None  # the least distance of a pair with both signs
+    connected: bool
 
 
 _POS, _NEG, _BOTH = 1, 2, 3  # bits of a `mask` entry
@@ -148,12 +159,11 @@ def _expand(keys: np.ndarray, c: np.ndarray, deg: np.ndarray, cum: np.ndarray, s
     return cand
 
 
-def _all_sources(graphs: Sequence[SignedGraph]) -> list[tuple[np.ndarray, np.ndarray, int, int | None]]:
-    """(dist, mask, diameter, d0) of each graph, by one BFS from all the
-    sources of all the graphs at once.
+def _all_sources(graphs: Sequence[SignedGraph]) -> list[_Table]:
+    """The `_Table` of each graph, by one BFS from all the sources of all
+    the graphs at once.
 
-    Pairs in different components keep dist -1 and mask 0, and the
-    diameter is then the largest finite distance.  The frontier stays
+    Pairs in different components keep dist -1 and mask 0.  The frontier stays
     sorted by source (a key (s * B + i) * 2N + c expands only into keys
     of its own source, and every filter keeps order), so a level is
     expanded in runs of whole sources, each filtered, written and
@@ -211,12 +221,9 @@ def _all_sources(graphs: Sequence[SignedGraph]) -> list[tuple[np.ndarray, np.nda
             twice = np.count_nonzero(both)
             remaining -= cand.size - twice // 2
             if twice and pending:
-                if b == 1:  # a lone graph: no keys' graphs to tell apart
-                    d0[0], pending = level, 0
-                else:
-                    hit = cand[both] % m // (2 * n)  # the keys' graphs
-                    d0[hit[d0[hit] == 0]] = level
-                    pending = b - np.count_nonzero(d0)
+                hit = cand[both] % m // (2 * n)  # the keys' graphs
+                d0[hit[d0[hit] == 0]] = level
+                pending = b - np.count_nonzero(d0)
             parts.append(cand)
         frontier = cand if fits else np.concatenate(parts)
         del parts, keys  # pieces of the new frontier and a view of the old one
@@ -227,9 +234,13 @@ def _all_sources(graphs: Sequence[SignedGraph]) -> list[tuple[np.ndarray, np.nda
     mask = (reached[0::2] | reached[1::2]).reshape(n, b, n)
     dist.setflags(write=False)
     mask.setflags(write=False)
-    facts = zip(sizes, dist.max(axis=(0, 2)).tolist(), d0.tolist())
+    connected = [-1 not in dist[0, i, :v].tolist() for i, v in enumerate(sizes)]  # 0 reached all
+    facts = zip(sizes, dist.max(axis=(0, 2)).tolist(), d0.tolist(), connected)
     # graph i's table is a view of the batch's, contiguous when the batch is i alone
-    return [(dist[:v, i, :v], mask[:v, i, :v], diam, d or None) for i, (v, diam, d) in enumerate(facts)]
+    return [
+        _Table(dist[:v, i, :v], mask[:v, i, :v], diam, d or None, c)
+        for i, (v, diam, d, c) in enumerate(facts)
+    ]
 
 
 def _batches(graphs: Iterable[SignedGraph]) -> Iterator[list[SignedGraph]]:
@@ -247,40 +258,28 @@ def _batches(graphs: Iterable[SignedGraph]) -> Iterator[list[SignedGraph]]:
         yield batch
 
 
-def _store(graphs: Sequence[SignedGraph]) -> None:
-    """Build the graphs' sign tables in one batch and cache them.  A
-    disconnected graph keeps its partial table, so reading it raises at once."""
-    for g, (dist, mask, *facts) in zip(graphs, _all_sources(graphs)):
-        if -1 in dist[0].tolist():  # a vertex unreachable from 0
-            g._cache["reach_partial"] = dist, mask
-        else:
-            g._cache["reach_facts"] = facts
-            g._cache["reach_table"] = dist, mask
-
-
 def build_tables(graphs: Iterable[SignedGraph]) -> None:
     """Build and cache the sign table of each graph that has none, one BFS
     per batch of `_batches`, as `_reach_table` would one at a time."""
-    todo = (g for g in graphs if "reach_table" not in g._cache and "reach_partial" not in g._cache)
-    for batch in _batches(todo):
-        _store(batch)
+    for batch in _batches(g for g in graphs if "reach_table" not in g._cache):
+        for g, table in zip(batch, _all_sources(batch)):
+            g._cache["reach_table"] = table
 
 
-def _reach_table(g: SignedGraph, source: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """All-pairs (dist, mask), cached on the (immutable) graph.
+def _reach_table(g: SignedGraph, source: int = 0) -> _Table:
+    """The graph's `_Table`, built on first call and cached on the
+    (immutable) graph.
 
     On a disconnected graph this raises DisconnectedError naming the
     first vertex unreachable from `source` (every source misses one);
-    the partial table is cached too, so the next call raises at once.
+    the table is cached all the same, so the next call raises at once.
     """
     table = g._cache.get("reach_table")
     if table is None:
-        if "reach_partial" not in g._cache:
-            _store((g,))
-            table = g._cache.get("reach_table")
-        if table is None:
-            missing = np.flatnonzero(g._cache["reach_partial"][0][source] < 0)
-            raise DisconnectedError(f"vertex {missing[0]} unreachable from {source}")
+        table = g._cache["reach_table"] = _all_sources((g,))[0]
+    if not table.connected:
+        missing = np.flatnonzero(table.dist[source] < 0)
+        raise DisconnectedError(f"vertex {missing[0]} unreachable from {source}")
     return table
 
 
@@ -294,17 +293,17 @@ def sign_reachability(g: SignedGraph, source: int) -> list[Reach]:
     calls, for any source, read one row of it.
     """
     g._check_vertex(source)
-    dist, mask = _reach_table(g, source)
-    return [Reach(d, _SIGNS[m]) for d, m in zip(dist[source].tolist(), mask[source].tolist())]
+    table = _reach_table(g, source)
+    return [Reach(d, _SIGNS[m]) for d, m in zip(table.dist[source].tolist(), table.mask[source].tolist())]
 
 
 def distance_matrices(g: SignedGraph) -> tuple[np.ndarray, np.ndarray]:
     """(D_max, D_min) of a connected graph: int64 V x V arrays whose entry
     (u, v) is sigma_max(u, v) * d(u, v), resp. sigma_min(u, v) * d(u, v)."""
-    dist, mask = _reach_table(g)
-    d = dist.astype(np.int64)
-    dmax = np.where(mask & _POS, d, -d)
-    dmin = np.where(mask & _NEG, -d, d)
+    table = _reach_table(g)
+    d = table.dist.astype(np.int64)
+    dmax = np.where(table.mask & _POS, d, -d)
+    dmin = np.where(table.mask & _NEG, -d, d)
     return dmax, dmin
 
 
@@ -312,18 +311,12 @@ def is_compatible_pair(g: SignedGraph, u: int, v: int) -> bool:
     """True when all shortest u-v paths share one sign (true when u == v)."""
     g._check_vertex(u)
     g._check_vertex(v)
-    return int(_reach_table(g)[1][u, v]) != _BOTH
-
-
-def _facts(g: SignedGraph) -> list:
-    """[diameter, d0] of a connected graph, as its table's build recorded them."""
-    _reach_table(g)
-    return g._cache["reach_facts"]
+    return int(_reach_table(g).mask[u, v]) != _BOTH
 
 
 def is_compatible(g: SignedGraph) -> bool:
     """True iff no pair is incompatible (so every power is unique): the build's d0 is None."""
-    return _facts(g)[1] is None
+    return _reach_table(g).d0 is None
 
 
 def first_incompatible_pair(g: SignedGraph) -> tuple[int, int] | None:
@@ -331,12 +324,12 @@ def first_incompatible_pair(g: SignedGraph) -> tuple[int, int] | None:
     if is_compatible(g):
         return None
     # the first hit in row-major order has u < v, as the mask is symmetric
-    return divmod(_reach_table(g)[1].tobytes().find(_BOTH), g.vertex_count)
+    return divmod(_reach_table(g).mask.tobytes().find(_BOTH), g.vertex_count)
 
 
 def diameter(g: SignedGraph) -> int:
     """Largest hop distance: the last level of the table's build."""
-    return _facts(g)[0]
+    return _reach_table(g).diameter
 
 
 def shortest_path_with_sign(g: SignedGraph, u: int, v: int, sign: int) -> tuple[int, ...] | None:
@@ -351,9 +344,9 @@ def shortest_path_with_sign(g: SignedGraph, u: int, v: int, sign: int) -> tuple[
         raise ValueError("sign must be +1 or -1")
     g._check_vertex(u)
     g._check_vertex(v)
-    dist, mask = _reach_table(g)
-    to_v = dist[v].tolist()
-    signs_v = mask[v].tolist()
+    table = _reach_table(g)
+    to_v = table.dist[v].tolist()
+    signs_v = table.mask[v].tolist()
     if u == v:
         return (u,) if sign == 1 else None
     if not signs_v[u] & (_POS if sign > 0 else _NEG):

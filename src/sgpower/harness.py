@@ -74,8 +74,8 @@ class TheoremReport:
         return self.passed == self.trials
 
 
-def _exponents(g: SignedGraph, extra: int = 1) -> range:
-    return range(1, diameter(g) + 1 + extra)
+def _exponents(g: SignedGraph) -> range:
+    return range(1, diameter(g) + 2)
 
 
 def _note(notes: dict[str, int], key: str) -> None:

@@ -47,7 +47,6 @@ from .distance import (
     _BOTH,
     _SIGMA_MAX,
     _SIGMA_MIN,
-    _facts,
     _reach_table,
     diameter,
     first_incompatible_pair,
@@ -60,11 +59,11 @@ Witnesses = Mapping[tuple[int, int], tuple[int, ...]]
 
 def _close_pairs(g: SignedGraph, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(us, vs, mask entries) of the pairs u < v at distance <= n, row-major."""
-    dist, mask = _reach_table(g)
-    flat = np.flatnonzero(dist <= n)
+    table = _reach_table(g)
+    flat = np.flatnonzero(table.dist <= n)
     us, vs = np.divmod(flat, g.vertex_count)
     upper = us < vs
-    return us[upper], vs[upper], mask.ravel()[flat[upper]]
+    return us[upper], vs[upper], table.mask.ravel()[flat[upper]]
 
 
 class _LazyWitnesses(Mapping):
@@ -80,7 +79,7 @@ class _LazyWitnesses(Mapping):
         self._g = g
         self._n = n
         self._sigma = sigma
-        self._dist, self._mask = _reach_table(g)
+        self._table = _reach_table(g)
         self._paths: dict[tuple[int, int], tuple[int, ...]] = {}
 
     def _sign(self, key: object) -> int | None:
@@ -88,8 +87,8 @@ class _LazyWitnesses(Mapping):
         if isinstance(key, tuple) and len(key) == 2:
             u, v = key
             try:
-                if 0 <= u < v < self._g.vertex_count and self._dist[u, v] <= self._n:
-                    return self._sigma[self._mask[u, v]]
+                if 0 <= u < v < self._g.vertex_count and self._table.dist[u, v] <= self._n:
+                    return self._sigma[self._table.mask[u, v]]
             except (TypeError, IndexError):  # not a pair of vertex indices
                 pass
         return None
@@ -113,7 +112,7 @@ class _LazyWitnesses(Mapping):
 
     def __len__(self) -> int:
         # dist is symmetric and its diagonal (0) is always within n
-        return (int(np.count_nonzero(self._dist <= self._n)) - self._g.vertex_count) // 2
+        return (int(np.count_nonzero(self._table.dist <= self._n)) - self._g.vertex_count) // 2
 
 
 class PowerResult:
@@ -178,8 +177,8 @@ def first_incompatible_pair_within(g: SignedGraph, n: int) -> tuple[int, int] | 
     differ.  None when the n-th power is unique."""
     if is_power_unique(g, n):  # nothing to find; raises for n < 1
         return None
-    dist, mask = _reach_table(g)
-    bad = ((mask == _BOTH) & (dist <= n)).ravel()
+    table = _reach_table(g)
+    bad = ((table.mask == _BOTH) & (table.dist <= n)).ravel()
     # the first hit in row-major order has u < v, as both arrays are symmetric
     return divmod(int(bad.argmax()), g.vertex_count)
 
@@ -189,7 +188,7 @@ def is_power_unique(g: SignedGraph, n: int) -> bool:
     pair at distance <= n is compatible, i.e. n < d0, recorded by the table's build."""
     if n < 1:
         raise BadExponentError(f"power exponent must be >= 1, got {n}")
-    d0 = _facts(g)[1]
+    d0 = _reach_table(g).d0
     return d0 is None or n < d0
 
 
@@ -223,7 +222,7 @@ def associated_complete(g: SignedGraph, mode: str) -> SignedGraph:
     if sigma is None:
         return g
     n = g.vertex_count
-    rows = enumerate(_reach_table(g)[1].tolist())
+    rows = enumerate(_reach_table(g).mask.tolist())
     return SignedGraph(n, [(u, v, sigma[row[v]]) for u, row in rows for v in range(u + 1, n)])
 
 

@@ -293,6 +293,14 @@ def test_lift_and_project(capsys, tmp_path):
     assert out.splitlines() == ["walk 0 1 2 3 4", "sign -"]
 
 
+def test_project_checks_the_walk_before_printing(capsys, tmp_path):
+    f = tmp_path / "p.sg"
+    f.write_text("sg 1\nn 3\n0 1 +\n1 2 -\n")
+    code, out, err = run(capsys, "project", "-n", "2", "--path", "7", str(f))
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["NotAPath: vertex 7 outside [0, 3)"]
+
+
 @given(connected_signed_graphs(max_vertices=7), st.integers(1, 3), st.data())
 @settings(max_examples=60, deadline=None)
 def test_lift_sign_is_the_walk_sign_in_the_max_power(g, n, data):

@@ -8,6 +8,7 @@ that never looks at the BFS DAG at all.
 
 import random
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -35,7 +36,7 @@ from sgpower import (
     sign_reachability,
 )
 from sgpower import core, distance
-from sgpower.distance import _reach_table, build_tables
+from sgpower.distance import _Table, _reach_table, build_tables
 from sgpower.oracle import enumerate_shortest_paths
 
 import reach_reference
@@ -85,7 +86,8 @@ def test_disconnected_source_raises():
 
 
 def _assert_table_matches_reference(g):
-    dist, mask = _reach_table(g)
+    table = _reach_table(g)
+    dist, mask = table.dist, table.mask
     assert dist.shape == mask.shape == (g.vertex_count, g.vertex_count)
     for u, row in enumerate(reach_reference.reach_table(g)):
         for v, (d, signs) in enumerate(row):
@@ -105,9 +107,9 @@ def test_reach_table_matches_per_source_reference(g):
 def test_reach_table_on_one_and_two_vertices():
     for g in (SignedGraph(1), SignedGraph(2, [(0, 1, 1)]), SignedGraph(2, [(0, 1, -1)])):
         _assert_table_matches_reference(g)
-    dist, mask = _reach_table(SignedGraph(2, [(0, 1, -1)]))
-    assert dist.tolist() == [[0, 1], [1, 0]]
-    assert mask.tolist() == [[1, 2], [2, 1]]
+    table = _reach_table(SignedGraph(2, [(0, 1, -1)]))
+    assert table.dist.tolist() == [[0, 1], [1, 0]]
+    assert table.mask.tolist() == [[1, 2], [2, 1]]
 
 
 def test_reach_table_on_a_long_path():
@@ -115,7 +117,8 @@ def test_reach_table_on_a_long_path():
     n = 3000
     signs = [(-1) ** i for i in range(n - 1)]
     g = path_graph(signs)
-    dist, mask = _reach_table(g)
+    table = _reach_table(g)
+    dist, mask = table.dist, table.mask
     span = np.arange(n, dtype=np.int32)
     assert np.array_equal(dist, np.abs(np.subtract.outer(span, span)))
     # the only i-j path has sign prefix(i) * prefix(j), prefix(k) = sign of 0..k
@@ -143,7 +146,16 @@ def test_disconnected_graph_names_the_reference_pair(monkeypatch):
     g = SignedGraph(6, [(0, 1, 1), (1, 2, -1), (3, 4, 1), (4, 5, -1)])
     with pytest.raises(DisconnectedError) as ref:
         reach_reference.reach_table(g)
-    for read in (diameter, first_incompatible_pair, distance_matrices):
+    readers = (
+        diameter,
+        is_compatible,
+        first_incompatible_pair,
+        distance_matrices,
+        lambda g: is_power_unique(g, 1),
+        lambda g: first_incompatible_pair_within(g, 2),
+        lambda g: power(g, 2),
+    )
+    for read in readers:
         with pytest.raises(DisconnectedError) as got:
             read(g)
         assert str(got.value) == str(ref.value) == "vertex 3 unreachable from 0"
@@ -153,7 +165,35 @@ def test_disconnected_graph_names_the_reference_pair(monkeypatch):
         with pytest.raises(DisconnectedError) as got:
             sign_reachability(g, source)
         assert str(got.value) == str(ref.value)
-    assert builds == [[g]]  # the partial table is kept, not rebuilt per call
+    assert builds == [[g]]  # one table serves every reader, not rebuilt per call
+
+
+def _table_keys(g):
+    return [key for key, entry in g._cache.items() if isinstance(entry, _Table)]
+
+
+def test_a_graph_caches_one_table_record():
+    built = [c4_one_negative(), SignedGraph(6, [(0, 1, 1), (3, 4, -1)]), SignedGraph(1)]
+    build_tables(built)
+    lone = all_negative_cycle(7)
+    before = set(lone._cache)
+    assert (diameter(lone), is_compatible(lone), first_incompatible_pair(lone)) == (3, True, None)
+    power(lone, 2).witnesses_max[0, 2]
+    assert set(lone._cache) - before == set(_table_keys(lone))
+    assert all(len(_table_keys(g)) == 1 for g in (*built, lone))
+
+
+def test_only_the_distance_module_knows_the_table_format():
+    # the cache key and the kernel have one owner, so the record's layout can change in one place
+    g = SignedGraph(1)
+    _reach_table(g)
+    (key,) = _table_keys(g)
+    sources = {path.name: path.read_text() for path in Path(distance.__file__).parent.glob("*.py")}
+    assert f'"{key}"' in sources.pop("distance.py")
+    assert sources  # the other modules were found
+    for name, text in sources.items():
+        for needle in (f'"{key}"', f"'{key}'", "_all_sources"):
+            assert needle not in text, f"{name} names {needle}"
 
 
 # -- a level expanded in runs of whole sources ---------------------------------
@@ -211,7 +251,7 @@ def test_tiny_run_budgets_give_the_reference_table(budget, g):
     ):
         expected = _reference_arrays(g)
         if core.is_connected(g):
-            got = _reach_table(g)
+            _reach_table(g)
         else:
             for source in range(g.vertex_count):
                 with pytest.raises(DisconnectedError) as got:
@@ -219,10 +259,11 @@ def test_tiny_run_budgets_give_the_reference_table(budget, g):
                 with pytest.raises(DisconnectedError) as ref:
                     reach_reference.sign_reachability(g, source)
                 assert str(got.value) == str(ref.value)
-            got = g._cache["reach_partial"]
-        assert builds == [[g]]  # the partial table is kept, not rebuilt per call
-    assert np.array_equal(got[0], expected[0])
-    assert np.array_equal(got[1], expected[1])
+        got = g._cache["reach_table"]  # kept for a disconnected graph too
+        assert builds == [[g]]  # the table is kept, not rebuilt per call
+    assert got.connected == core.is_connected(g)
+    assert np.array_equal(got.dist, expected[0])
+    assert np.array_equal(got.mask, expected[1])
 
 
 def test_a_level_splits_into_runs_at_the_default_budget(monkeypatch):
@@ -236,22 +277,23 @@ def test_a_level_splits_into_runs_at_the_default_budget(monkeypatch):
 
     monkeypatch.setattr(distance, "_runs", counted)
     g = _random_graph(400, 6, seed=11)
-    dist, mask = _reach_table(g)
+    table = _reach_table(g)
     assert max(runs_per_split, default=0) > 1
     expected = _reference_arrays(g)
-    assert np.array_equal(dist, expected[0])
-    assert np.array_equal(mask, expected[1])
+    assert np.array_equal(table.dist, expected[0])
+    assert np.array_equal(table.mask, expected[1])
 
 
 # -- many graphs in one search ------------------------------------------------------
 
 
 def _reference_build(g):
-    """(dist, mask, diameter, d0) of the per-source reference: the diameter is
-    the largest finite distance, d0 the least distance of a pair with both signs."""
+    """(dist, mask, diameter, d0, connected) of the per-source reference: the
+    diameter is the largest finite distance, d0 the least distance of a pair
+    with both signs, and the graph is connected when no pair is unreached."""
     dist, mask = _reference_arrays(g)
     both = dist[mask == 3]
-    return dist, mask, int(dist.max()), int(both.min()) if both.size else None
+    return dist, mask, int(dist.max()), int(both.min()) if both.size else None, bool((dist >= 0).all())
 
 
 @pytest.mark.parametrize("budget", (1, 2, 5, distance._RUN_BUDGET))
@@ -293,10 +335,10 @@ def test_a_disconnected_member_raises_as_alone_and_spares_its_batch(monkeypatch)
         assert str(got.value) == str(ref.value)
     for g in others:
         expected = _reference_build(g)
-        dist, mask = _reach_table(g)
-        assert np.array_equal(dist, expected[0]) and np.array_equal(mask, expected[1])
+        table = _reach_table(g)
+        assert np.array_equal(table.dist, expected[0]) and np.array_equal(table.mask, expected[1])
         assert (diameter(g), is_compatible(g)) == (expected[2], expected[3] is None)
-    build_tables([split, *others])  # every graph has its table, or its partial one
+    build_tables([split, *others])  # every graph has its table, the disconnected one too
     assert len(builds) == 2  # the lone build of `alone`, and nothing more
 
 
@@ -378,7 +420,7 @@ class _Unreadable:
 
 def test_whole_table_answers_read_no_table_after_the_build():
     for g, lift_n in ((all_negative_cycle(7), 3), (c4_one_negative(), 1)):
-        _reach_table(g)
+        table = _reach_table(g)
         path = tuple(range(g.vertex_count))
         expected = (
             diameter(g),
@@ -388,7 +430,7 @@ def test_whole_table_answers_read_no_table_after_the_build():
             power(g, lift_n).unique,
             first_incompatible_pair_within(g, lift_n),
         )
-        g._cache["reach_table"] = _Unreadable(), _Unreadable()
+        g._cache["reach_table"] = table._replace(dist=_Unreadable(), mask=_Unreadable())
         assert expected == (
             diameter(g),
             is_compatible(g),

@@ -40,7 +40,7 @@ from sgpower import (
     switch,
 )
 from sgpower.cli import main
-from sgpower.distance import _reach_table
+from sgpower.distance import _Table, _reach_table
 
 from conftest import (
     all_negative_cycle,
@@ -322,7 +322,7 @@ _MIXED_K6 = SignedGraph(6, [(u, v, -1 if u * v % 3 else 1) for u in range(6) for
 def test_a_complete_graph_is_its_own_completion(k):
     for mode in ("max", "min", "pm"):
         assert associated_complete(k, mode) is k
-    assert "reach_table" not in k._cache
+    assert not any(isinstance(entry, _Table) for entry in k._cache.values())
 
 
 # -- diameter collapse ----------------------------------------------------------
@@ -356,9 +356,9 @@ def test_exponents_past_int64_read_the_int16_table_like_the_diameter(capsys, tmp
     edges = [(v, v + 1, rng.choice((1, -1))) for v in range(side * side) if v % side < side - 1]
     edges += [(v, v + side, rng.choice((1, -1))) for v in range(side * (side - 1))]
     g = SignedGraph(side * side, edges)
-    dist, mask = _reach_table(g)
-    assert dist.dtype == np.int16
-    assert dist.nbytes + mask.nbytes == 3 * g.vertex_count**2
+    table = _reach_table(g)
+    assert table.dist.dtype == np.int16
+    assert table.dist.nbytes + table.mask.nbytes == 3 * g.vertex_count**2
     d, huge = diameter(g), 10**20
     at_d, at_huge = power(g, d), power(g, huge)
     assert at_huge.power_max == at_d.power_max and at_huge.power_min == at_d.power_min
