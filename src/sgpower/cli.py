@@ -127,8 +127,7 @@ def _cmd_distance(args) -> int:
 
 def _write_pairs(g: SignedGraph, n: int, sigma: tuple[int, ...]) -> None:
     """Write the graph on V(g) joining the pairs at distance <= n, signed by sigma."""
-    us, vs, ms = _close_pairs(g, n)
-    sys.stdout.write(serialize_edges(g.vertex_count, us, vs, np.take(sigma, ms)))
+    sys.stdout.write(serialize_edges(g.vertex_count, *_close_pairs(g, n, sigma)))
 
 
 def _cmd_power(args) -> int:
@@ -213,7 +212,7 @@ def _cmd_project(args) -> int:
 
 def _cmd_verify(args) -> int:
     names = list(THEOREM_ORDER) if args.theorem == "all" else [args.theorem]
-    reports = harness.run_many(names, args.trials, args.seed, args.max_vertices)
+    reports = [harness.run_theorem(t, args.trials, args.seed, args.max_vertices) for t in names]
     failed = []
     for rep in reports:
         notes = ""

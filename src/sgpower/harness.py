@@ -281,7 +281,3 @@ def run_theorem(theorem: str, trials: int, seed: int, max_vertices: int = 8) -> 
         else:
             report.failures.append(FailureCase(theorem, trial, problem, {"graph": g}))
     return report
-
-
-def run_many(theorems: list[str], trials: int, seed: int, max_vertices: int = 8) -> list[TheoremReport]:
-    return [run_theorem(t, trials, seed, max_vertices) for t in theorems]

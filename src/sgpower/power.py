@@ -25,9 +25,10 @@ edges of its power in row-major order (u < v); each witness is built
 the first time it is read.  The first power is the graph itself: each
 edge is the one shortest path between its ends.
 
-A power or a completion is only a choice of pairs and a sign lookup in
-the table, so the `power` and `complete` commands write theirs straight
-from `_close_pairs` through `fileio.serialize_edges` and build no graph.
+A power is a choice of pairs and a sign lookup in the table; `_table_graph`
+builds every graph here, a completion as the power at the diameter.  The
+array reader `_close_pairs` gives a witness map its keys and the `power` and
+`complete` commands their text, through `fileio.serialize_edges`.
 """
 
 from __future__ import annotations
@@ -57,13 +58,30 @@ from .distance import (
 Witnesses = Mapping[tuple[int, int], tuple[int, ...]]
 
 
-def _close_pairs(g: SignedGraph, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(us, vs, mask entries) of the pairs u < v at distance <= n, row-major."""
+def _close_pairs(g: SignedGraph, n: int, sigma: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """(us, vs, signs by `sigma`) of the pairs u < v at distance <= n, row-major."""
     table = _reach_table(g)
     flat = np.flatnonzero(table.dist <= n)
     us, vs = np.divmod(flat, g.vertex_count)
     upper = us < vs
-    return us[upper], vs[upper], table.mask.ravel()[flat[upper]]
+    return us[upper], vs[upper], np.take(sigma, table.mask.ravel()[flat[upper]])
+
+
+def _table_graph(g: SignedGraph, n: int, sigma: tuple[int, ...]) -> SignedGraph:
+    """The graph on V(g) joining the pairs at distance <= n, each signed by `sigma`
+    indexed by its mask entry: g itself at n = 1 (each edge is the one shortest
+    path between its ends), and every pair, read without a distance, from n = diameter."""
+    if n == 1:
+        return g
+    table = _reach_table(g)
+    k = g.vertex_count
+    rows = enumerate(table.mask.tolist())
+    if n >= table.diameter:
+        edges = [(u, v, sigma[row[v]]) for u, row in rows for v in range(u + 1, k)]
+    else:
+        d = table.dist.tolist()
+        edges = [(u, v, sigma[row[v]]) for u, row in rows for v in range(u + 1, k) if d[u][v] <= n]
+    return SignedGraph(k, edges)
 
 
 class _LazyWitnesses(Mapping):
@@ -71,8 +89,8 @@ class _LazyWitnesses(Mapping):
 
     The keys are the pairs u < v at distance at most n, and `sigma`,
     indexed by a mask entry, gives each edge's sign: both are read off
-    g's sign table.  The witness of an edge is computed by
-    `shortest_path_with_sign` on first access and cached.
+    g's sign table; as in a dict, a key equal to a pair, such as (1.0, 3),
+    finds it.  A witness is built by `shortest_path_with_sign` when first read.
     """
 
     def __init__(self, g: SignedGraph, n: int, sigma: tuple[int, ...]):
@@ -82,32 +100,33 @@ class _LazyWitnesses(Mapping):
         self._table = _reach_table(g)
         self._paths: dict[tuple[int, int], tuple[int, ...]] = {}
 
-    def _sign(self, key: object) -> int | None:
-        """The sign of the power edge `key`, or None if it is no edge."""
+    def _edge(self, key: object) -> tuple[int, int] | None:
+        """The power edge (u, v) equal to `key`, as a dict matches its keys, or None."""
         if isinstance(key, tuple) and len(key) == 2:
-            u, v = key
             try:
-                if 0 <= u < v < self._g.vertex_count and self._table.dist[u, v] <= self._n:
-                    return self._sigma[self._table.mask[u, v]]
-            except (TypeError, IndexError):  # not a pair of vertex indices
-                pass
+                u, v = (int(x.real) for x in key)  # `.real`: 1+0j == 1 as well
+            except (AttributeError, TypeError, ValueError, OverflowError):  # not a pair of numbers
+                return None
+            if (u, v) == key and 0 <= u < v < self._g.vertex_count:
+                return (u, v) if self._table.dist[u, v] <= self._n else None
         return None
 
     def __getitem__(self, key: tuple[int, int]) -> tuple[int, ...]:
         # exact tuples only: `dict.get` raises TypeError for a list
         path = self._paths.get(key) if type(key) is tuple else None
         if path is None:
-            sign = self._sign(key)
-            if sign is None:
+            edge = self._edge(key)
+            if edge is None:
                 raise KeyError(key)
-            path = self._paths[key] = shortest_path_with_sign(self._g, key[0], key[1], sign)
+            sign = self._sigma[self._table.mask[edge]]
+            path = self._paths[edge] = shortest_path_with_sign(self._g, *edge, sign)
         return path
 
     def __contains__(self, key: object) -> bool:
-        return self._sign(key) is not None  # without building the witness
+        return self._edge(key) is not None  # without building the witness
 
     def __iter__(self):
-        us, vs, _ = _close_pairs(self._g, self._n)
+        us, vs, _ = _close_pairs(self._g, self._n, self._sigma)
         return zip(us.tolist(), vs.tolist())
 
     def __len__(self) -> int:
@@ -142,21 +161,11 @@ class PowerResult:
 
     @cached_property
     def power_max(self) -> SignedGraph:
-        return self._power(_SIGMA_MAX)
+        return _table_graph(self._g, self.n, _SIGMA_MAX)
 
     @cached_property
     def power_min(self) -> SignedGraph:
-        return self._power(_SIGMA_MIN)
-
-    @cached_property
-    def _close(self) -> tuple[list[int], ...]:
-        return tuple(a.tolist() for a in _close_pairs(self._g, self.n))  # shared by both powers
-
-    def _power(self, sigma: tuple[int, ...]) -> SignedGraph:
-        if self.n == 1:  # each edge is the one shortest path between its ends
-            return self._g
-        us, vs, ms = self._close
-        return SignedGraph(self._g.vertex_count, zip(us, vs, map(sigma.__getitem__, ms)))
+        return _table_graph(self._g, self.n, _SIGMA_MIN)
 
 
 def power(g: SignedGraph, n: int) -> PowerResult:
@@ -214,16 +223,10 @@ def _completion_sigma(g: SignedGraph, mode: str) -> tuple[int, ...] | None:
 
 
 def associated_complete(g: SignedGraph, mode: str) -> SignedGraph:
-    """Complete graph on V(g) with distance-derived signs on non-edges.
-
-    A complete g is returned as is.  Every pair's sign is read off the mask,
-    an edge's too: an edge is the only shortest path between its ends."""
+    """Complete graph on V(g) with distance-derived signs on non-edges: a complete
+    g as is, any other g as its power at the diameter, where an edge keeps its sign."""
     sigma = _completion_sigma(g, mode)
-    if sigma is None:
-        return g
-    n = g.vertex_count
-    rows = enumerate(_reach_table(g).mask.tolist())
-    return SignedGraph(n, [(u, v, sigma[row[v]]) for u, row in rows for v in range(u + 1, n)])
+    return g if sigma is None else _table_graph(g, diameter(g), sigma)
 
 
 def check_diameter_power_theorem(g: SignedGraph, n: int) -> bool:

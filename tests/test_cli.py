@@ -301,6 +301,13 @@ def test_project_checks_the_walk_before_printing(capsys, tmp_path):
     assert err.splitlines() == ["NotAPath: vertex 7 outside [0, 3)"]
 
 
+def test_project_refuses_a_non_unique_power():
+    argv = ["project", "-n", "2", "--path", "0,2", str(ROOT / "data" / "c4_one_negative.sg")]
+    code, out, err = run_captured(argv)
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["NonUniquePower: the 2-th power of the graph is not unique"]
+
+
 @given(connected_signed_graphs(max_vertices=7), st.integers(1, 3), st.data())
 @settings(max_examples=60, deadline=None)
 def test_lift_sign_is_the_walk_sign_in_the_max_power(g, n, data):

@@ -11,9 +11,9 @@ import random
 import pytest
 
 from sgpower import associated_complete, distance, harness, is_balanced, power
-from sgpower.harness import THEOREM_ORDER, run_many, run_theorem
+from sgpower.harness import THEOREM_ORDER, run_theorem
 
-from conftest import all_negative_cycle, c4_one_negative, cycle_graph, path_graph
+from conftest import all_negative_cycle, c4_one_negative, complete_graph, cycle_graph, path_graph
 
 
 def _snapshot(report):
@@ -60,10 +60,11 @@ def test_false_identity_failures_are_real():
         assert broken, f"reported counterexample does not violate the identity: {g!r}"
 
 
-def test_run_many_preserves_order_and_counts():
-    reports = run_many(["nbc", "t1"], 6, seed=1, max_vertices=6)
-    assert [r.name for r in reports] == ["nbc", "t1"]
-    assert all(r.trials == 6 for r in reports)
+def test_t27_on_a_complete_graph_is_vacuous():
+    # K4 has diameter 1, so no exponent lies below the diameter
+    notes = {}
+    assert harness._check_t27(complete_graph(4), random.Random(0), notes) is None
+    assert notes == {"vacuous": 1}
 
 
 def test_notes_count_skipped_trials():

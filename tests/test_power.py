@@ -184,13 +184,20 @@ def test_reading_uniqueness_and_witnesses_builds_no_graph(monkeypatch):
 def test_witness_map_holds_only_the_power_edges():
     witnesses = power(all_negative_cycle(7), 2).witnesses_max
     assert witnesses[(0, 2)] == (0, 1, 2)  # built first: the checks below pass it by
-    for key in ((2, 0), (0, 0), (0, 3), (5, 7), (-1, 1), (7, 9), [0, 2], "02", 2, (0, 1, 2), None):
+    misses = ((2, 0), (0, 0), (0, 3), (5, 7), (-1, 1), (7, 9), [0, 2], "02", 2, (0, 1, 2), None)
+    for key in (*misses, (0.5, 1), (1 + 1j, 3), ("a", "b")):
         assert key not in witnesses
         with pytest.raises(KeyError):
             witnesses[key]
         assert witnesses.get(key) is None
-    key = (np.int64(1), np.int64(3))  # equal and hash-equal to (1, 3), as in a dict
-    assert key in witnesses and witnesses[key] == (1, 2, 3)
+    # keys equal and hash-equal to (1, 3) find it, as in a dict, before and after it is built
+    equal = ((np.int64(1), np.int64(3)), (1.0, 3), (True, 3), (1 + 0j, 3))
+    for key in equal:
+        fresh = power(all_negative_cycle(7), 2).witnesses_max
+        assert key in fresh and fresh.get(key) == fresh[key] == (1, 2, 3)
+    assert witnesses[(1, 3)] == (1, 2, 3)
+    for key in equal:
+        assert key in witnesses and witnesses.get(key) == witnesses[key] == (1, 2, 3)
 
 
 def test_first_power_is_the_graph_itself():
