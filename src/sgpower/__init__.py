@@ -37,7 +37,6 @@ from .distance import (
 from .power import (
     PowerResult,
     associated_complete,
-    check_diameter_power_theorem,
     first_incompatible_pair_within,
     is_power_unique,
     power,
@@ -60,7 +59,6 @@ from .spectra import (
     adjacency_matrix,
     balanced_spectrum_test,
     eigenvalues,
-    power_balance_spectrum_test,
 )
 from .oracle import (
     CorpusSpec,

@@ -21,6 +21,7 @@ from .core import (
     NonUniquePowerError,
     SignedGraph,
     SignedGraphError,
+    error_line,
     is_connected,
     is_two_connected,
     walk_sign,
@@ -326,9 +327,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (SignedGraphError, OSError) as exc:
-        name = type(exc).__name__
-        name = name[: -len("Error")] if name.endswith("Error") else name
-        print(f"{name}: {exc}", file=sys.stderr)
+        print(error_line(exc), file=sys.stderr)
         return 1
     except MemoryError as exc:  # numpy's message names the array it could not allocate
         print(f"Memory: {str(exc) or 'out of memory'}", file=sys.stderr)

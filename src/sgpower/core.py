@@ -72,6 +72,11 @@ class PreconditionViolatedError(SignedGraphError):
     """A check was invoked outside its stated hypotheses."""
 
 
+def error_line(exc: Exception) -> str:
+    """The error as one line: its class name less "Error", then its message."""
+    return f"{type(exc).__name__.removesuffix('Error')}: {exc}"
+
+
 Edge = tuple[int, int, int]  # (u, v, sign) with u < v
 
 

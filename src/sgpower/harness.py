@@ -8,12 +8,13 @@ trials, max_vertices) quadruple always produces the identical report.
 The trial graphs are read in batches of at most `distance._RUN_BUDGET`
 padded vertex pairs, and each batch's sign tables are built by one
 search (`distance.build_tables`) before its graphs are checked, so
-memory stays bounded for any number of trials.
+memory stays bounded for any number of trials.  A check that raises a
+`SignedGraphError` fails its trial, described by the error's one line.
 
 Keys:
 
     t1    power uniqueness: sign comparison == pair criterion == oracle
-    diam  diameter <= n makes the power the distance completion
+    diam  diameter <= n: powers == completions == signed-distance signs
     l1    lifting a shortest path multiplies length by 1/n, keeps sign
     le    projecting a shortest power path, length in ((k-1)n, kn]
     t27   compatible unique power (diameter > n) forces compatible base
@@ -42,11 +43,13 @@ from .balance import (
     verify_power_balance,
     verify_power_compat_implies_compat,
 )
-from .core import SignedGraph, bfs, is_two_connected, path_sign, walk_sign
-from .distance import _batches, build_tables, diameter, distance_matrices
+from .core import (
+    SignedGraph, SignedGraphError, bfs, error_line, is_two_connected, path_sign, walk_sign,
+)
+from .distance import _batches, build_tables, diameter, distance_matrices, is_compatible
 from .oracle import CorpusSpec, enumerate_shortest_paths, generate, oracle_signs
-from .power import associated_complete, check_diameter_power_theorem, is_power_unique, power
-from .spectra import balanced_spectrum_test, power_balance_spectrum_test
+from .power import associated_complete, is_power_unique, power
+from .spectra import balanced_spectrum_test
 
 THEOREM_ORDER = ("t1", "diam", "l1", "le", "t27", "blcm", "l3", "cbp", "sgs", "nbc")
 
@@ -105,9 +108,22 @@ def _check_t1(g: SignedGraph, rng: random.Random, notes: dict[str, int]) -> str 
 
 
 def _check_diam(g: SignedGraph, rng: random.Random, notes: dict[str, int]) -> str | None:
+    # K^max and K^min by their definition, not through the power builder: an edge
+    # of g keeps its sign, and every other pair takes the sign of its signed distance
+    own, k = {(u, v): s for u, v, s in g.edges}, g.vertex_count
+    k_max, k_min = (
+        SignedGraph(k, [(u, v, own.get((u, v), 1 if row[v] > 0 else -1))
+                        for u, row in enumerate(m.tolist()) for v in range(u + 1, k)])
+        for m in distance_matrices(g)
+    )
+    if k_max != associated_complete(g, "max") or k_min != associated_complete(g, "min"):
+        return "a completion differs from the signed distances"
+    if is_compatible(g) and k_max != associated_complete(g, "pm"):
+        return "the common completion differs from the signed distances"
     d = diameter(g)
     for n in (d, d + 1):
-        if not check_diameter_power_theorem(g, n):
+        pr = power(g, n)
+        if pr.power_max != k_max or pr.power_min != k_min:
             return f"n={n}: power differs from the distance completion"
     return None
 
@@ -205,10 +221,11 @@ def _check_cbp(g: SignedGraph, rng: random.Random, notes: dict[str, int]) -> str
 
 def _check_sgs(g: SignedGraph, rng: random.Random, notes: dict[str, int]) -> str | None:
     # the spectral test raises for an incompatible g, so every power of g is unique
-    if balanced_spectrum_test(g) != is_balanced(g).balanced:
+    spectral = balanced_spectrum_test(g)
+    if spectral != is_balanced(g).balanced:
         return "spectral test disagrees with the direct balance test"
     n = min(2, diameter(g))
-    if is_two_connected(g) and not power_balance_spectrum_test(g, n):
+    if is_two_connected(g) and is_balanced(power(g, n).power_max).balanced != spectral:
         return f"n={n}: power balance disagrees with the spectral test"
     return None
 
@@ -275,7 +292,10 @@ def run_theorem(theorem: str, trials: int, seed: int, max_vertices: int = 8) -> 
     report = TheoremReport(theorem, trials, 0)
     for trial, g in enumerate(_tabled(_corpus_graphs(theorem, trials, seed, max_vertices))):
         rng = random.Random(seed * 2**32 + trial * 977 + THEOREM_ORDER.index(theorem))
-        problem = check(g, rng, report.notes)
+        try:
+            problem = check(g, rng, report.notes)
+        except SignedGraphError as exc:  # a failed trial; the corpus's own errors propagate
+            problem = error_line(exc)
         if problem is None:
             report.passed += 1
         else:

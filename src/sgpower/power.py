@@ -10,8 +10,8 @@ The associated signed complete graph keeps all existing signed edges
 and joins each non-adjacent pair, signed by sigma_max (mode "max"),
 sigma_min (mode "min"), or their common value (mode "pm", defined only
 for compatible graphs).  When diameter(g) <= n the n-th power is the
-same construction, which `check_diameter_power_theorem` verifies; a
-complete graph is returned as is, and every pair's sign is read off the table.
+same construction, and a complete graph is its own completion; every
+other pair's sign is read off the table.
 
 Every power edge has a witness: the lexicographically least shortest
 path between its ends that realizes the edge's sign.  The witnesses
@@ -38,12 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import (
-    BadExponentError,
-    NotCompatibleError,
-    PreconditionViolatedError,
-    SignedGraph,
-)
+from .core import BadExponentError, NotCompatibleError, SignedGraph
 from .distance import (
     _BOTH,
     _SIGMA_MAX,
@@ -51,7 +46,6 @@ from .distance import (
     _reach_table,
     diameter,
     first_incompatible_pair,
-    is_compatible,
     shortest_path_with_sign,
 )
 
@@ -227,17 +221,3 @@ def associated_complete(g: SignedGraph, mode: str) -> SignedGraph:
     g as is, any other g as its power at the diameter, where an edge keeps its sign."""
     sigma = _completion_sigma(g, mode)
     return g if sigma is None else _table_graph(g, diameter(g), sigma)
-
-
-def check_diameter_power_theorem(g: SignedGraph, n: int) -> bool:
-    """With diameter(g) <= n, the n-th powers equal the completions, and
-    for a compatible graph the (unique) power is the common completion."""
-    pr = power(g, n)  # raises BadExponentError, then DisconnectedError
-    diam = diameter(g)
-    if diam > n:
-        raise PreconditionViolatedError(f"diameter {diam} exceeds n = {n}")
-    return (
-        pr.power_max == associated_complete(g, "max")
-        and pr.power_min == associated_complete(g, "min")
-        and (not is_compatible(g) or pr.power_max == associated_complete(g, "pm"))
-    )

@@ -4,9 +4,9 @@ A balanced signed complete graph on m vertices is switching-equivalent
 to the all-positive one, so its adjacency spectrum is m-1 (once) and
 -1 (m-1 times); conversely that spectrum forces balance.  Combining
 this with the common-sign completion of a compatible graph gives a
-purely spectral balance criterion (Acharya, J. Graph Theory 4, 1980),
-and through the power balance equivalence a spectral criterion for the
-balance of powers.
+purely spectral balance criterion (Acharya, J. Graph Theory 4, 1980).
+Through the power balance equivalence it is also a criterion for the
+balance of powers, which the `sgs` key of `verify` checks.
 
 `eigenvalues` calls LAPACK's symmetric eigensolver through
 `numpy.linalg.eigvalsh`; its `tol` only sets how close consecutive
@@ -20,16 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    NotCompatibleError,
-    NotTwoConnectedError,
-    SignedGraph,
-    SignedGraphError,
-    is_two_connected,
-)
-from .balance import is_balanced
+from .core import NotCompatibleError, SignedGraph, SignedGraphError
 from .distance import is_compatible
-from .power import associated_complete, power
+from .power import associated_complete
 
 DEFAULT_TOL = 1e-10
 
@@ -136,16 +129,3 @@ def balanced_spectrum_test(g: SignedGraph) -> bool:
     b = adjacency_matrix(associated_complete(g, "pm"))
     np.fill_diagonal(b, 1)
     return _is_sign_outer_product(b)
-
-
-def power_balance_spectrum_test(g: SignedGraph, n: int) -> bool:
-    """On a 2-connected compatible graph, whose every power is unique: the
-    n-th power is balanced iff the spectral balance test passes on g.
-    Returns True when the two routes agree."""
-    if not is_two_connected(g):
-        raise NotTwoConnectedError("the power spectrum criterion needs a 2-connected graph")
-    if not is_compatible(g):
-        raise NotCompatibleError("the power spectrum criterion needs a compatible graph")
-    direct = is_balanced(power(g, n).power_max).balanced
-    spectral = balanced_spectrum_test(g)
-    return direct == spectral

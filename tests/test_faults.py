@@ -1,0 +1,76 @@
+"""Named faults that `verify` must catch.
+
+Each row breaks one part of the library with a monkeypatch and names the
+`verify` keys whose pass count must drop below the trial count on the
+reference run (`--trials 200 --seed 42`).  `l3` fails on that run without
+any fault, so no row names it.  A key that passes every trial under a
+fault does not check what that fault breaks.
+"""
+
+import importlib
+
+import pytest
+
+from sgpower import SignedGraph, distance, harness
+from sgpower.distance import _SIGMA_MIN, _reach_table
+from sgpower.harness import run_theorem
+
+power_module = importlib.import_module("sgpower.power")
+balance_module = importlib.import_module("sgpower.balance")
+
+_TRIALS, _SEED = 200, 42
+
+
+def _flipped_completion(monkeypatch):
+    """`_table_graph`'s all-pairs branch (n >= diameter) flips every pair it adds to g."""
+    build = power_module._table_graph
+
+    def flipped(g, n, sigma):
+        out = build(g, n, sigma)
+        if n == 1 or n < _reach_table(g).diameter:
+            return out
+        return SignedGraph(g.vertex_count, [
+            (u, v, s if g.has_edge(u, v) else -s) for u, v, s in out.edges
+        ])
+
+    monkeypatch.setattr(power_module, "_table_graph", flipped)
+
+
+def _unique_at_d0(monkeypatch):
+    """Uniqueness read as n <= d0: the first exponent with an incompatible pair counts as unique."""
+
+    def unique(g, n):
+        d0 = _reach_table(g).d0
+        return d0 is None or n <= d0
+
+    for module in (power_module, harness, balance_module):
+        monkeypatch.setattr(module, "is_power_unique", unique)
+
+
+def _max_power_by_sigma_min(monkeypatch):
+    """The max power, its witnesses and the max completion signed by sigma_min."""
+    monkeypatch.setattr(power_module, "_SIGMA_MAX", _SIGMA_MIN)
+
+
+def _diameter_one_too_low(monkeypatch):
+    """Every sign table records its diameter one too low; reading a witness then raises."""
+    kernel = distance._all_sources
+    monkeypatch.setattr(
+        distance, "_all_sources", lambda gs: [t._replace(diameter=t.diameter - 1) for t in kernel(gs)]
+    )
+
+
+FAULTS = {
+    "flipped_completion": (_flipped_completion, ("diam", "l1", "le", "cbp", "sgs", "nbc")),
+    "unique_at_d0": (_unique_at_d0, ("t1", "l1", "t27")),
+    "max_power_by_sigma_min": (_max_power_by_sigma_min, ("t1", "diam")),
+    "diameter_one_too_low": (_diameter_one_too_low, ("diam", "le", "sgs")),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_verify_catches_the_fault(monkeypatch, fault):
+    inject, keys = FAULTS[fault]
+    inject(monkeypatch)
+    for key in keys:
+        assert run_theorem(key, _TRIALS, _SEED).passed < _TRIALS, key

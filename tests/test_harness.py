@@ -10,7 +10,18 @@ import random
 
 import pytest
 
-from sgpower import associated_complete, distance, harness, is_balanced, power
+from sgpower import (
+    GenerationExhaustedError,
+    MissingWitnessError,
+    associated_complete,
+    balanced_spectrum_test,
+    distance,
+    harness,
+    is_balanced,
+    power,
+    spectra,
+)
+from sgpower.cli import main
 from sgpower.harness import THEOREM_ORDER, run_theorem
 
 from conftest import all_negative_cycle, c4_one_negative, complete_graph, cycle_graph, path_graph
@@ -130,3 +141,55 @@ def test_t1_reads_power_uniqueness_by_pairs_apart_from_the_flag(monkeypatch):
     monkeypatch.setattr(harness, "is_power_unique", lambda g, n: True)
     problem = harness._check_t1(c4_one_negative(), random.Random(0), {})
     assert problem.startswith("n=2: uniqueness routes disagree (pairs=False signs=False flag=True")
+
+
+def _raising_check(g, rng, notes):
+    raise MissingWitnessError("no witness recorded for power edge (2, 3)")
+
+
+def test_a_raising_check_fails_its_trial_and_the_run_goes_on(monkeypatch):
+    monkeypatch.setitem(harness._CHECKS, "nbc", _raising_check)
+    report = run_theorem("nbc", 6, seed=1)
+    assert report.passed == 0
+    assert [c.trial for c in report.failures] == list(range(6))
+    assert {c.description for c in report.failures} == {
+        "MissingWitness: no witness recorded for power edge (2, 3)"
+    }
+    assert all(c.graphs["graph"].vertex_count >= 3 for c in report.failures)
+
+
+def test_verify_reports_a_raising_check_and_writes_its_bundle(monkeypatch, capsys, tmp_path):
+    monkeypatch.setitem(harness._CHECKS, "nbc", _raising_check)
+    argv = ["verify", "--theorem", "nbc", "--trials", "4", "--seed", "1", "--bundle", str(tmp_path)]
+    assert main(argv) == 1
+    assert capsys.readouterr().out.splitlines() == ["nbc 0/4", "result FAIL nbc"]
+    manifest = (tmp_path / "manifest.txt").read_text().splitlines()
+    assert len(manifest) == 4
+    assert manifest[0] == (
+        "theorem=nbc trial=0 note=MissingWitness: no witness recorded for power edge (2, 3) "
+        "graph=case_nbc_0_graph.sg"
+    )
+    assert (tmp_path / "case_nbc_0_graph.sg").is_file()
+
+
+def test_a_corpus_error_still_ends_the_run(monkeypatch):
+    def exhausted(spec):
+        raise GenerationExhaustedError("no graph meets the spec")
+        yield
+
+    monkeypatch.setattr(harness, "generate", exhausted)
+    with pytest.raises(GenerationExhaustedError):
+        run_theorem("nbc", 3, seed=0)
+
+
+def test_sgs_runs_the_spectral_test_once_per_trial(monkeypatch):
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return balanced_spectrum_test(g)
+
+    monkeypatch.setattr(harness, "balanced_spectrum_test", counted)
+    monkeypatch.setattr(spectra, "balanced_spectrum_test", counted)
+    assert run_theorem("sgs", 200, 42).ok
+    assert len(calls) == 200

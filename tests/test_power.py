@@ -21,10 +21,8 @@ from sgpower import (
     DisconnectedError,
     NotCompatibleError,
     PathSigns,
-    PreconditionViolatedError,
     SignedGraph,
     associated_complete,
-    check_diameter_power_theorem,
     diameter,
     first_incompatible_pair,
     first_incompatible_pair_within,
@@ -66,8 +64,6 @@ def test_exponent_must_be_at_least_one():
             is_power_unique(g, bad)
         with pytest.raises(BadExponentError):
             first_incompatible_pair_within(g, bad)
-        with pytest.raises(BadExponentError):
-            check_diameter_power_theorem(g, bad)
 
 
 @given(connected_signed_graphs(), st.integers(1, 5))
@@ -335,26 +331,28 @@ def test_a_complete_graph_is_its_own_completion(k):
 # -- diameter collapse ----------------------------------------------------------
 
 
+def _oracle_completion(g, mode):
+    """K^max or K^min pair by pair: an edge keeps its sign, any other pair takes
+    the oracle's sign, which reads no sign table and no power builder."""
+    k = g.vertex_count
+    pick = (lambda p: p.sigma_min) if mode == "min" else (lambda p: p.sigma_max)
+    return SignedGraph(k, [
+        (u, v, g.sign(u, v) if g.has_edge(u, v) else pick(oracle_signs(g, u, v)))
+        for u in range(k) for v in range(u + 1, k)
+    ])
+
+
 @given(connected_signed_graphs(max_vertices=7))
 @settings(max_examples=80)
 def test_high_powers_equal_completions(g):
+    k_max, k_min = _oracle_completion(g, "max"), _oracle_completion(g, "min")
+    assert associated_complete(g, "max") == k_max
+    assert associated_complete(g, "min") == k_min
     d = max(diameter(g), 1)
-    assert check_diameter_power_theorem(g, d)
-    assert check_diameter_power_theorem(g, d + 2)
-    pr = power(g, d)
-    assert pr.power_max == associated_complete(g, "max")
-
-
-def test_diameter_precondition_enforced():
-    g = path_graph([1, 1, 1])  # diameter 3
-    with pytest.raises(PreconditionViolatedError):
-        check_diameter_power_theorem(g, 2)
-    # precedence: the exponent, then connectivity, then the diameter
-    split = SignedGraph(3, [(0, 1, 1)])
-    with pytest.raises(BadExponentError):
-        check_diameter_power_theorem(split, 0)
-    with pytest.raises(DisconnectedError):
-        check_diameter_power_theorem(split, 1)
+    for n in (d, d + 2):
+        pr = power(g, n)
+        assert pr.power_max == k_max
+        assert pr.power_min == k_min
 
 
 def test_exponents_past_int64_read_the_int16_table_like_the_diameter(capsys, tmp_path):

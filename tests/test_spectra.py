@@ -10,24 +10,21 @@ from sgpower import (
     NoConvergenceError,
     NotCompatibleError,
     NotSymmetricError,
-    NotTwoConnectedError,
     Spectrum,
     adjacency_matrix,
     associated_complete,
     balanced_spectrum_test,
     eigenvalues,
     is_balanced,
-    power_balance_spectrum_test,
+    power,
     switch,
 )
 
 from conftest import (
     all_negative_cycle,
-    c4_one_negative,
     complete_graph,
     connected_signed_graphs,
     cycle_graph,
-    path_graph,
 )
 from sgpower.spectra import _is_sign_outer_product
 
@@ -173,14 +170,8 @@ def test_sign_outer_product_at_order_300():
     assert not _is_sign_outer_product(b)
 
 
-def test_power_balance_spectrum_preconditions():
-    with pytest.raises(NotTwoConnectedError):
-        power_balance_spectrum_test(path_graph([1, 1]), 2)
-    with pytest.raises(NotCompatibleError):
-        power_balance_spectrum_test(c4_one_negative(), 1)
-
-
 def test_power_balance_spectrum_on_cycles(c7_negative):
-    assert power_balance_spectrum_test(c7_negative, 2)
-    assert power_balance_spectrum_test(cycle_graph([1] * 7), 2)
-    assert power_balance_spectrum_test(switch(cycle_graph([1] * 6), [0, 2]), 3)
+    # on a 2-connected compatible graph the n-th power is balanced iff the spectral test passes
+    cases = [(c7_negative, 2), (cycle_graph([1] * 7), 2), (switch(cycle_graph([1] * 6), [0, 2]), 3)]
+    for g, n in cases:
+        assert is_balanced(power(g, n).power_max).balanced == balanced_spectrum_test(g)
