@@ -121,9 +121,13 @@ def project_path(witnesses: Witnesses, p: Sequence[int]) -> tuple[int, ...]:
 
     Witness keys are canonical (u, v) with u < v; each witness runs from
     u to v and is reversed as needed.  The result can repeat vertices.
+    A one-vertex p is checked against the map's `vertex_count`, if it has one.
     """
     if len(p) == 0:
         raise NotAPathError("empty vertex sequence")
+    count = getattr(witnesses, "vertex_count", None)
+    if len(p) == 1 and count is not None and not 0 <= p[0] < count:
+        raise NotAPathError(f"vertex {p[0]} outside [0, {count})")
     if len(set(p)) != len(p):
         raise NotAPathError("repeated vertex; not a path")
     walk: list[int] = [p[0]]

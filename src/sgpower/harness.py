@@ -3,8 +3,9 @@
 Each theorem key draws its own corpus (seed derived from the base seed
 and the key's position) and runs one check per trial graph, over every
 applicable power exponent.  All randomness flows through the corpus
-generator and a per-trial path-sampling generator, so a (theorem, seed,
-trials, max_vertices) quadruple always produces the identical report.
+generator and, in `l1` and `le` alone, a path-sampling generator seeded
+with the trial's seed, so a (theorem, seed, trials, max_vertices)
+quadruple always produces the identical report.
 The trial graphs are read in batches of at most `distance._RUN_BUDGET`
 padded vertex pairs, and each batch's sign tables are built by one
 search (`distance.build_tables`) before its graphs are checked, so
@@ -14,6 +15,7 @@ memory stays bounded for any number of trials.  A check that raises a
 Keys:
 
     t1    power uniqueness: sign comparison == pair criterion == oracle
+          (the oracle lists every shortest path out of each source)
     diam  diameter <= n: powers == completions == signed-distance signs
     l1    lifting a shortest path multiplies length by 1/n, keeps sign
     le    projecting a shortest power path, length in ((k-1)n, kn]
@@ -44,10 +46,10 @@ from .balance import (
     verify_power_compat_implies_compat,
 )
 from .core import (
-    SignedGraph, SignedGraphError, bfs, error_line, is_two_connected, path_sign, walk_sign,
+    SignedGraph, SignedGraphError, error_line, is_two_connected, path_sign, walk_sign,
 )
 from .distance import _batches, build_tables, diameter, distance_matrices, is_compatible
-from .oracle import CorpusSpec, enumerate_shortest_paths, generate, oracle_signs
+from .oracle import CorpusSpec, enumerate_shortest_paths, generate, oracle_reachability
 from .power import associated_complete, is_power_unique, power
 from .spectra import balanced_spectrum_test
 
@@ -88,17 +90,15 @@ def _note(notes: dict[str, int], key: str) -> None:
 # -- per-trial checks -------------------------------------------------------
 
 
-def _check_t1(g: SignedGraph, rng: random.Random, notes: dict[str, int]) -> str | None:
-    dist = [bfs(g, u)[1] for u in range(g.vertex_count)]  # independent of the sign table
-    pairs = [(u, v) for u in range(g.vertex_count) for v in range(u + 1, g.vertex_count)]
-    single = {(u, v): oracle_signs(g, u, v).is_single for u, v in pairs}
+def _check_t1(g: SignedGraph, seed: int, notes: dict[str, int]) -> str | None:
+    rows = [oracle_reachability(g, u) for u in range(g.vertex_count)]  # apart from the sign table
     dmax, dmin = distance_matrices(g)
     reach, differ = np.abs(dmax), dmax != dmin
     for n in _exponents(g):
         by_pairs = not differ[reach <= n].any()  # no pair within n whose signed distances differ
         pr = power(g, n)
         by_signs = pr.power_max == pr.power_min
-        by_oracle = all(single[u, v] for u, v in pairs if dist[u][v] <= n)
+        by_oracle = all(r.signs.is_single for row in rows for r in row if r.distance <= n)
         if not (by_pairs == by_signs == pr.unique == by_oracle):
             return (
                 f"n={n}: uniqueness routes disagree "
@@ -107,7 +107,7 @@ def _check_t1(g: SignedGraph, rng: random.Random, notes: dict[str, int]) -> str 
     return None
 
 
-def _check_diam(g: SignedGraph, rng: random.Random, notes: dict[str, int]) -> str | None:
+def _check_diam(g: SignedGraph, seed: int, notes: dict[str, int]) -> str | None:
     # K^max and K^min by their definition, not through the power builder: an edge
     # of g keeps its sign, and every other pair takes the sign of its signed distance
     own, k = {(u, v): s for u, v, s in g.edges}, g.vertex_count
@@ -128,30 +128,25 @@ def _check_diam(g: SignedGraph, rng: random.Random, notes: dict[str, int]) -> st
     return None
 
 
-def _sample_pairs(g: SignedGraph, rng: random.Random) -> list[tuple[int, int]]:
-    pairs = [
-        (u, v) for u in range(g.vertex_count) for v in range(g.vertex_count) if u != v
-    ]
-    rng.shuffle(pairs)
-    return pairs[:_PAIRS_PER_TRIAL]
-
-
-def _sampled_paths(g: SignedGraph, rng: random.Random, notes: dict[str, int], in_power: bool):
-    """(n, PowerResult, p) for each unique n-th power of g and each sampled
-    shortest path p of length >= 1: of g, or with `in_power` of the max power."""
+def _sampled_paths(g: SignedGraph, seed: int, notes: dict[str, int], in_power: bool):
+    """(n, PowerResult, p) for each unique n-th power of g and each shortest path
+    p of length >= 1 sampled by `Random(seed)`: of g, or with `in_power` of the max power."""
+    rng, k = random.Random(seed), g.vertex_count
     for n in _exponents(g):
         pr = power(g, n)
         if not pr.unique:
             _note(notes, "skipped_non_unique")
             continue
-        for u, v in _sample_pairs(g, rng):
+        pairs = [(u, v) for u in range(k) for v in range(k) if u != v]
+        rng.shuffle(pairs)
+        for u, v in pairs[:_PAIRS_PER_TRIAL]:
             p = rng.choice(enumerate_shortest_paths(pr.power_max if in_power else g, u, v))
             if len(p) > 1:
                 yield n, pr, p
 
 
-def _check_l1(g: SignedGraph, rng: random.Random, notes: dict[str, int]) -> str | None:
-    for n, pr, p in _sampled_paths(g, rng, notes, in_power=False):
+def _check_l1(g: SignedGraph, seed: int, notes: dict[str, int]) -> str | None:
+    for n, pr, p in _sampled_paths(g, seed, notes, in_power=False):
         lifted = lift_path(g, p, n)
         if len(lifted) - 1 != math.ceil((len(p) - 1) / n):
             return f"n={n}: lift of {p} has length {len(lifted) - 1}"
@@ -160,8 +155,8 @@ def _check_l1(g: SignedGraph, rng: random.Random, notes: dict[str, int]) -> str 
     return None
 
 
-def _check_le(g: SignedGraph, rng: random.Random, notes: dict[str, int]) -> str | None:
-    for n, pr, p in _sampled_paths(g, rng, notes, in_power=True):
+def _check_le(g: SignedGraph, seed: int, notes: dict[str, int]) -> str | None:
+    for n, pr, p in _sampled_paths(g, seed, notes, in_power=True):
         k = len(p) - 1
         w = project_path(pr.witnesses_max, p)
         length = len(w) - 1
@@ -172,7 +167,7 @@ def _check_le(g: SignedGraph, rng: random.Random, notes: dict[str, int]) -> str 
     return None
 
 
-def _check_t27(g: SignedGraph, rng: random.Random, notes: dict[str, int]) -> str | None:
+def _check_t27(g: SignedGraph, seed: int, notes: dict[str, int]) -> str | None:
     applicable = False
     for n in range(1, diameter(g)):
         if not is_power_unique(g, n):
@@ -185,7 +180,7 @@ def _check_t27(g: SignedGraph, rng: random.Random, notes: dict[str, int]) -> str
     return None
 
 
-def _check_blcm(g: SignedGraph, rng: random.Random, notes: dict[str, int]) -> str | None:
+def _check_blcm(g: SignedGraph, seed: int, notes: dict[str, int]) -> str | None:
     for n in range(1, diameter(g) + 1):
         out = verify_balanced_implies_power_compatible(g, n)
         if not out:
@@ -193,7 +188,7 @@ def _check_blcm(g: SignedGraph, rng: random.Random, notes: dict[str, int]) -> st
     return None
 
 
-def _check_l3(g: SignedGraph, rng: random.Random, notes: dict[str, int]) -> str | None:
+def _check_l3(g: SignedGraph, seed: int, notes: dict[str, int]) -> str | None:
     k_max = associated_complete(g, "max")
     k_min = associated_complete(g, "min")
     # a balanced graph is compatible, so its common completion exists
@@ -209,7 +204,7 @@ def _check_l3(g: SignedGraph, rng: random.Random, notes: dict[str, int]) -> str 
     return None
 
 
-def _check_cbp(g: SignedGraph, rng: random.Random, notes: dict[str, int]) -> str | None:
+def _check_cbp(g: SignedGraph, seed: int, notes: dict[str, int]) -> str | None:
     for n in range(1, diameter(g) + 1):
         out = verify_power_balance(g, n)
         if out.detail.get("non_unique"):
@@ -219,7 +214,7 @@ def _check_cbp(g: SignedGraph, rng: random.Random, notes: dict[str, int]) -> str
     return None
 
 
-def _check_sgs(g: SignedGraph, rng: random.Random, notes: dict[str, int]) -> str | None:
+def _check_sgs(g: SignedGraph, seed: int, notes: dict[str, int]) -> str | None:
     # the spectral test raises for an incompatible g, so every power of g is unique
     spectral = balanced_spectrum_test(g)
     if spectral != is_balanced(g).balanced:
@@ -230,7 +225,7 @@ def _check_sgs(g: SignedGraph, rng: random.Random, notes: dict[str, int]) -> str
     return None
 
 
-def _check_nbc(g: SignedGraph, rng: random.Random, notes: dict[str, int]) -> str | None:
+def _check_nbc(g: SignedGraph, seed: int, notes: dict[str, int]) -> str | None:
     out = verify_nbc(g)
     if not out:
         return f"statement values {out.detail.get('statements')}"
@@ -268,7 +263,8 @@ def _corpus_graphs(theorem: str, trials: int, seed: int, max_vertices: int):
     """Deterministic trial graph stream for one theorem key."""
     base = seed * 1000 + THEOREM_ORDER.index(theorem)
     # each corpus declares all `trials` trials, though it yields only those taken
-    # from it: `generate` seeds trial i from the spec's seed and i alone
+    # from it: `generate` seeds trial i from the spec's seed and i alone, and draws
+    # ahead only for a corpus that requires compatibility (sgs has one corpus)
     streams = []
     for k, (least, p, require) in enumerate(_CORPORA.get(theorem, _DEFAULT_CORPORA)):
         lo = min(least, max(3, max_vertices))  # t27's least of 4 gives way to max_vertices 3
@@ -291,9 +287,8 @@ def run_theorem(theorem: str, trials: int, seed: int, max_vertices: int = 8) -> 
     check = _CHECKS[theorem]
     report = TheoremReport(theorem, trials, 0)
     for trial, g in enumerate(_tabled(_corpus_graphs(theorem, trials, seed, max_vertices))):
-        rng = random.Random(seed * 2**32 + trial * 977 + THEOREM_ORDER.index(theorem))
         try:
-            problem = check(g, rng, report.notes)
+            problem = check(g, seed * 2**32 + trial * 977 + THEOREM_ORDER.index(theorem), report.notes)
         except SignedGraphError as exc:  # a failed trial; the corpus's own errors propagate
             problem = error_line(exc)
         if problem is None:

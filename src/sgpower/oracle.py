@@ -5,7 +5,8 @@ vertices by depth-first search restricted to the BFS shortest-path DAG,
 with neighbors visited in ascending order, so the output order (and
 therefore everything derived from it) is deterministic.  `oracle_signs`
 reduces the listing to the sign set and is the reference the fast
-dynamic program is tested against.
+dynamic program is tested against.  `oracle_reachability` lists every
+shortest path out of one source: the brute-force twin of `sign_reachability`.
 
 `generate` draws random connected signed graphs from a CorpusSpec.  The
 generator is Python's `random.Random` (the Mersenne Twister MT19937),
@@ -17,6 +18,10 @@ all-positive one switched at a random vertex subset (+ iff both ends lie
 on the same side), so it is balanced by construction.  Rejection
 sampling, with a bounded number of attempts per trial, meets the
 requirements construction does not guarantee (2-connectivity, compatibility).
+With compatibility required, `generate` draws in rounds, one candidate for
+each trial of a chunk still without a graph, and tables a round's candidates
+by one search (`build_tables`); a trial draws from its own generator alone,
+so the stream is the one a trial at a time gives.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .core import DisconnectedError, SignedGraph, SignedGraphError, bfs, is_two_connected
-from .distance import PathSigns, is_compatible
+from .distance import _RUN_BUDGET, PathSigns, Reach, build_tables, is_compatible
 
 
 class TooManyPathsError(SignedGraphError):
@@ -98,6 +103,29 @@ def oracle_signs(g: SignedGraph, u: int, v: int, max_paths: int = MAX_ORACLE_PAT
     return PathSigns(has_pos, has_neg)
 
 
+def oracle_reachability(
+    g: SignedGraph, source: int, max_paths: int = MAX_ORACLE_PATHS
+) -> list[Reach]:
+    """`sign_reachability(g, source)` by brute force: after one `bfs`, a depth-first
+    search over its DAG lists every shortest path out of `source`, merging no
+    (vertex, sign) state, and marks each path's sign at its end.  Raises
+    DisconnectedError, and TooManyPathsError past `max_paths` listed paths."""
+    dist = bfs(g, source)[1]
+    if -1 in dist:
+        raise DisconnectedError(f"vertex {dist.index(-1)} unreachable from {source}")
+    seen = [[False, False] for _ in dist]  # [positive, negative] path to each vertex
+    stack = [(source, 1)]  # (end, sign) of each path not yet listed, the empty one first
+    listed = 0
+    while stack:
+        listed += 1
+        if listed > max_paths:
+            raise TooManyPathsError(f"more than {max_paths} shortest paths")
+        x, sign = stack.pop()
+        seen[x][sign < 0] = True
+        stack.extend((y, sign * s) for y, s in g.neighbors(x) if dist[y] == dist[x] + 1)
+    return [Reach(d, PathSigns(*signs)) for d, signs in zip(dist, seen)]
+
+
 def count_shortest_paths(g: SignedGraph, u: int, v: int) -> int:
     """Number of shortest u-v paths by DP over the BFS DAG (no enumeration)."""
     g._check_vertex(v)
@@ -165,16 +193,27 @@ def _meets(g: SignedGraph, require: frozenset[str]) -> bool:
 
 
 def generate(spec: CorpusSpec) -> Iterator[SignedGraph]:
-    """Yield spec.trials graphs, deterministically from spec.seed."""
-    for trial in range(spec.trials):
-        rng = random.Random(spec.seed * 2**32 + trial)
+    """Yield spec.trials graphs, deterministically from spec.seed.  A chunk holds as
+    many trials as `_batches` puts in one batch at the largest vertex count when a
+    round's candidates are tabled (compatibility required), else one trial."""
+    tabled = "compatible" in spec.require
+    chunk = max(1, _RUN_BUDGET // spec.vertex_range[1] ** 2) if tabled else 1
+    for start in range(0, spec.trials, chunk):
+        trials = range(start, min(start + chunk, spec.trials))
+        rngs = {t: random.Random(spec.seed * 2**32 + t) for t in trials}
+        found: dict[int, SignedGraph] = {}
         for _ in range(_ATTEMPTS_PER_TRIAL):
-            g = _random_graph(rng, spec)
-            if _meets(g, spec.require):
-                yield g
+            drawn = {t: _random_graph(rng, spec) for t, rng in rngs.items()}
+            if tabled:  # in one search, the candidates that meet the rest of the spec
+                build_tables(g for g in drawn.values() if _meets(g, spec.require - {"compatible"}))
+            found.update((t, g) for t, g in drawn.items() if _meets(g, spec.require))
+            rngs = {t: rng for t, rng in rngs.items() if t not in found}
+            if not rngs:
                 break
-        else:
-            raise GenerationExhaustedError(
-                f"trial {trial}: no graph met {sorted(spec.require)} "
-                f"after {_ATTEMPTS_PER_TRIAL} attempts"
-            )
+        for trial in trials:
+            if trial not in found:
+                raise GenerationExhaustedError(
+                    f"trial {trial}: no graph met {sorted(spec.require)} "
+                    f"after {_ATTEMPTS_PER_TRIAL} attempts"
+                )
+            yield found[trial]

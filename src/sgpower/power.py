@@ -85,9 +85,11 @@ class _LazyWitnesses(Mapping):
     indexed by a mask entry, gives each edge's sign: both are read off
     g's sign table; as in a dict, a key equal to a pair, such as (1.0, 3),
     finds it.  A witness is built by `shortest_path_with_sign` when first read.
+    `vertex_count` is g's, so a path of no edge can be checked.
     """
 
     def __init__(self, g: SignedGraph, n: int, sigma: tuple[int, ...]):
+        self.vertex_count = g.vertex_count
         self._g = g
         self._n = n
         self._sigma = sigma

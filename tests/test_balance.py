@@ -175,6 +175,17 @@ def test_projection_validates_input():
         project_path({}, (0, 2))
 
 
+def test_projecting_a_one_vertex_path_checks_the_vertex():
+    g = path_graph([1, -1])
+    w = power(g, 2).witnesses_max
+    assert project_path(w, [1]) == (1,)
+    for bad in ([7], [3], [-1]):
+        with pytest.raises(NotAPathError, match=f"vertex {bad[0]} outside \\[0, 3\\)"):
+            project_path(w, bad)
+    with pytest.raises(MissingWitnessError):
+        project_path({}, (0, 2))
+
+
 @given(connected_signed_graphs(max_vertices=7), st.integers(1, 3))
 @settings(max_examples=80)
 def test_projected_shortest_power_paths_bounded_with_equal_sign(g, n):

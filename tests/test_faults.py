@@ -11,7 +11,7 @@ import importlib
 
 import pytest
 
-from sgpower import SignedGraph, distance, harness
+from sgpower import PathSigns, Reach, SignedGraph, distance, harness, oracle
 from sgpower.distance import _SIGMA_MIN, _reach_table
 from sgpower.harness import run_theorem
 
@@ -60,11 +60,33 @@ def _diameter_one_too_low(monkeypatch):
     )
 
 
+def _single_signed_oracle(monkeypatch):
+    """`oracle_reachability` drops the negative sign of every pair that has both."""
+    reach = oracle.oracle_reachability
+
+    def single(g, source, *args):
+        return [
+            Reach(r.distance, PathSigns(True, False)) if r.signs == PathSigns(True, True) else r
+            for r in reach(g, source, *args)
+        ]
+
+    for module in (oracle, harness):
+        monkeypatch.setattr(module, "oracle_reachability", single)
+
+
+def _corpus_ignores_compatible(monkeypatch):
+    """The corpus generator's `_meets` ignores "compatible"."""
+    meets = oracle._meets
+    monkeypatch.setattr(oracle, "_meets", lambda g, require: meets(g, require - {"compatible"}))
+
+
 FAULTS = {
     "flipped_completion": (_flipped_completion, ("diam", "l1", "le", "cbp", "sgs", "nbc")),
     "unique_at_d0": (_unique_at_d0, ("t1", "l1", "t27")),
     "max_power_by_sigma_min": (_max_power_by_sigma_min, ("t1", "diam")),
     "diameter_one_too_low": (_diameter_one_too_low, ("diam", "le", "sgs")),
+    "single_signed_oracle": (_single_signed_oracle, ("t1",)),
+    "corpus_ignores_compatible": (_corpus_ignores_compatible, ("sgs",)),
 }
 
 

@@ -7,6 +7,7 @@ test re-validates that every reported counterexample is real.
 
 import importlib
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -18,6 +19,7 @@ from sgpower import (
     distance,
     harness,
     is_balanced,
+    oracle,
     power,
     spectra,
 )
@@ -74,7 +76,7 @@ def test_false_identity_failures_are_real():
 def test_t27_on_a_complete_graph_is_vacuous():
     # K4 has diameter 1, so no exponent lies below the diameter
     notes = {}
-    assert harness._check_t27(complete_graph(4), random.Random(0), notes) is None
+    assert harness._check_t27(complete_graph(4), 0, notes) is None
     assert notes == {"vacuous": 1}
 
 
@@ -105,14 +107,14 @@ def test_l3_completes_the_base_graph_once_per_mode(monkeypatch, g):
         return associated_complete(h, mode)
 
     monkeypatch.setattr(harness, "associated_complete", counted)
-    harness._check_l3(g, random.Random(0), {})
+    harness._check_l3(g, 0, {})
     want = ["max", "min", "pm"] if is_balanced(g).balanced else ["max", "min"]
     assert base_calls == want  # whatever the number of exponents
 
 
 @pytest.mark.parametrize("name", [t for t in THEOREM_ORDER if t != "sgs"])
 def test_the_base_graphs_tables_are_built_in_one_call(monkeypatch, name):
-    # sgs draws compatible graphs, so its generator builds each candidate's table
+    # sgs draws compatible graphs, so its generator tables the candidates
     calls = []
     kernel = distance._all_sources
     monkeypatch.setattr(distance, "_all_sources", lambda gs: calls.append(list(gs)) or kernel(gs))
@@ -120,6 +122,48 @@ def test_the_base_graphs_tables_are_built_in_one_call(monkeypatch, name):
     assert len(calls[0]) == 10
     if name == "diam":  # reads nothing but the base graphs' tables
         assert len(calls) == 1
+
+
+def test_sgs_tables_its_candidates_in_rounds(monkeypatch):
+    lone = []
+    kernel = distance._all_sources
+    monkeypatch.setattr(
+        distance, "_all_sources", lambda gs: (len(gs) == 1 and lone.append(gs)) or kernel(gs)
+    )
+    for seed in range(30):
+        run_theorem("sgs", 10, seed)
+    assert len(lone) <= 60  # one candidate at a time, these runs build 475 tables
+
+
+@pytest.mark.parametrize("name", THEOREM_ORDER)
+def test_the_corpora_draw_only_the_trials_they_yield(monkeypatch, name):
+    # cbp alternates two corpora that each declare every trial; neither may draw ahead
+    seeded = []
+
+    class Counted(random.Random):
+        def __init__(self, seed):
+            seeded.append(seed)
+            super().__init__(seed)
+
+    monkeypatch.setattr(oracle, "random", SimpleNamespace(Random=Counted))
+    run_theorem(name, 9, seed=2)
+    assert len(seeded) == 9
+
+
+def test_only_the_path_lemmas_seed_a_generator(monkeypatch):
+    seeded = []
+
+    class Counted(random.Random):
+        def __init__(self, seed):
+            seeded.append(seed)
+            super().__init__(seed)
+
+    # the corpus generator keeps its own `random`
+    monkeypatch.setattr(harness, "random", SimpleNamespace(Random=Counted))
+    for name in THEOREM_ORDER:
+        seeded.clear()
+        run_theorem(name, 10, seed=2)
+        assert len(seeded) == (10 if name in ("l1", "le") else 0), name
 
 
 def test_trial_batches_stay_within_the_pair_budget(monkeypatch):
@@ -139,11 +183,11 @@ def test_t1_reads_power_uniqueness_by_pairs_apart_from_the_flag(monkeypatch):
     # a wrong uniqueness flag must disagree with the pair route, not repeat it
     monkeypatch.setattr(importlib.import_module("sgpower.power"), "is_power_unique", lambda g, n: True)
     monkeypatch.setattr(harness, "is_power_unique", lambda g, n: True)
-    problem = harness._check_t1(c4_one_negative(), random.Random(0), {})
+    problem = harness._check_t1(c4_one_negative(), 0, {})
     assert problem.startswith("n=2: uniqueness routes disagree (pairs=False signs=False flag=True")
 
 
-def _raising_check(g, rng, notes):
+def _raising_check(g, seed, notes):
     raise MissingWitnessError("no witness recorded for power edge (2, 3)")
 
 

@@ -1,6 +1,8 @@
 """Exhaustive path enumeration and the seeded corpus generator."""
 
 import itertools
+import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from sgpower import (
     DisconnectedError,
     GenerationExhaustedError,
     PathSigns,
+    Reach,
     SignedGraph,
     TooManyPathsError,
     VertexOutOfRangeError,
@@ -23,8 +26,11 @@ from sgpower import (
     is_two_connected,
     oracle_signs,
     path_sign,
+    power,
+    sign_reachability,
 )
-from sgpower import balance, core, oracle
+from sgpower import balance, core, distance, oracle
+from sgpower.oracle import oracle_reachability
 
 from conftest import (
     c4_one_negative,
@@ -103,6 +109,69 @@ def test_oracle_signs_summarize_the_enumeration(g):
             got = oracle_signs(g, u, v)
             assert got.has_positive == (1 in signs)
             assert got.has_negative == (-1 in signs)
+
+
+# -- all targets of one source -----------------------------------------------------
+
+
+def _checked_against_the_listing(g):
+    for u in range(g.vertex_count):
+        row = oracle_reachability(g, u)
+        assert [r.distance for r in row] == core.bfs(g, u)[1]
+        assert [r.signs for r in row] == [oracle_signs(g, u, v) for v in range(g.vertex_count)]
+        assert row == sign_reachability(g, u)
+
+
+@given(connected_signed_graphs(max_vertices=7))
+@settings(max_examples=60)
+def test_reachability_matches_the_listing_and_the_table(g):
+    _checked_against_the_listing(g)
+    _checked_against_the_listing(power(g, 2).power_max)
+
+
+def test_reachability_matches_the_listing_on_corpus_graphs_and_their_squares():
+    spec = CorpusSpec(seed=17, vertex_range=(3, 9), edge_probability=0.35, trials=30)
+    for g in generate(spec):
+        _checked_against_the_listing(g)
+        _checked_against_the_listing(power(g, 2).power_max)
+
+
+def test_reachability_reads_no_sign_table(monkeypatch):
+    def no_table(graphs):
+        raise AssertionError("the oracle must not build a sign table")
+
+    monkeypatch.setattr(distance, "_all_sources", no_table)
+    g = c4_one_negative()
+    assert oracle_reachability(g, 0) == [
+        Reach(0, PathSigns(True, False)),
+        Reach(1, PathSigns(True, False)),
+        Reach(2, PathSigns(True, True)),
+        Reach(1, PathSigns(False, True)),
+    ]
+
+
+def test_reachability_requires_a_connected_graph_and_a_vertex():
+    g = SignedGraph(4, [(0, 1, 1), (2, 3, -1)])
+    with pytest.raises(DisconnectedError, match="vertex 2 unreachable from 0"):
+        oracle_reachability(g, 0)
+    with pytest.raises(DisconnectedError, match="vertex 0 unreachable from 3"):
+        oracle_reachability(g, 3)
+    with pytest.raises(VertexOutOfRangeError):
+        oracle_reachability(g, 4)
+
+
+def test_reachability_respects_its_path_budget():
+    g = c4_one_negative()  # from 0: the empty path, 0-1, 0-3, 0-1-2 and 0-3-2
+    with pytest.raises(TooManyPathsError):
+        oracle_reachability(g, 0, max_paths=4)
+    assert oracle_reachability(g, 0, max_paths=5)[2].signs == PathSigns(True, True)
+
+
+def test_reachability_has_no_depth_limit():
+    g = SignedGraph(3000, [(i, i + 1, -1) for i in range(2999)])
+    row = oracle_reachability(g, 0)
+    assert row[2999] == Reach(2999, PathSigns(False, True))
+    assert row[2998] == Reach(2998, PathSigns(True, False))
 
 
 # -- corpus specs ------------------------------------------------------------------
@@ -228,3 +297,90 @@ def test_balanced_generation_builds_one_graph_per_attempt_and_runs_no_bfs(monkey
     assert len(list(generate(spec))) == 20
     assert len(attempts) > 20  # some drafts fail 2-connectivity and are drawn again
     assert len(built) == len(attempts)
+
+
+# -- generation in rounds ----------------------------------------------------------
+
+
+def _sequential(spec):
+    """The one-trial-at-a-time loop that `generate` draws in rounds, kept as its reference."""
+    for trial in range(spec.trials):
+        rng = random.Random(spec.seed * 2**32 + trial)
+        for _ in range(oracle._ATTEMPTS_PER_TRIAL):
+            g = oracle._random_graph(rng, spec)
+            if oracle._meets(g, spec.require):
+                yield g
+                break
+        else:
+            raise GenerationExhaustedError(
+                f"trial {trial}: no graph met {sorted(spec.require)} "
+                f"after {oracle._ATTEMPTS_PER_TRIAL} attempts"
+            )
+
+
+def _outcome(stream):
+    """The graphs a stream yields, and its exhaustion message or None."""
+    graphs = []
+    try:
+        for g in stream:
+            graphs.append(g)
+    except GenerationExhaustedError as exc:
+        return graphs, str(exc)
+    return graphs, None
+
+
+_EVERY_REQUIREMENT = [
+    (),
+    ("connected",),
+    ("balanced",),
+    ("two_connected",),
+    ("compatible",),
+    ("balanced", "two_connected"),
+    ("compatible", "two_connected"),
+]
+
+
+@pytest.mark.parametrize(
+    "vertex_range, p, trials",
+    [
+        ((2, 2), 0.5, 12),
+        ((2, 3), 0.02, 8),
+        ((3, 8), 0.4, 40),
+        ((120, 120), 0.001, 4),
+        ((120, 120), 0.04, 4),
+    ],
+)
+@pytest.mark.parametrize("require", _EVERY_REQUIREMENT)
+def test_generation_matches_the_sequential_loop(monkeypatch, require, vertex_range, p, trials):
+    # 40 attempts a trial, so exhaustion costs little; at (2, 3) and seed 1, the
+    # 2-connected specs yield trial 0 and run out at trial 1
+    monkeypatch.setattr(oracle, "_ATTEMPTS_PER_TRIAL", 40)
+    for seed in (1, 3):
+        spec = CorpusSpec(seed, vertex_range, p, frozenset(require), trials)
+        assert _outcome(generate(spec)) == _outcome(_sequential(spec))
+
+
+def test_generation_without_compatibility_draws_a_trial_at_a_time(monkeypatch):
+    # rounds would draw for every trial of a chunk before the first one ran out
+    drawn = []
+    draw = oracle._random_graph
+    monkeypatch.setattr(
+        oracle, "_random_graph", lambda rng, spec: drawn.append(1) or draw(rng, spec)
+    )
+    spec = CorpusSpec(0, (2, 2), 0.5, frozenset({"two_connected"}), 100)
+    with pytest.raises(GenerationExhaustedError, match="trial 0:"):
+        list(generate(spec))
+    assert len(drawn) == oracle._ATTEMPTS_PER_TRIAL
+
+
+# chunks of 512 and of 3 trials
+@pytest.mark.parametrize("budget", [distance._RUN_BUDGET, 3 * 8**2])
+def test_a_shorter_corpus_is_a_prefix_of_a_longer_one(monkeypatch, budget):
+    monkeypatch.setattr(oracle, "_RUN_BUDGET", budget)
+    spec = CorpusSpec(
+        seed=4, vertex_range=(3, 8), edge_probability=0.3, require={"compatible"}, trials=30
+    )
+    full = list(generate(spec))
+    assert full == list(_sequential(spec))
+    for k in (1, 2, 7, 29):
+        assert list(generate(replace(spec, trials=k))) == full[:k]
