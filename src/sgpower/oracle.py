@@ -18,10 +18,11 @@ all-positive one switched at a random vertex subset (+ iff both ends lie
 on the same side), so it is balanced by construction.  Rejection
 sampling, with a bounded number of attempts per trial, meets the
 requirements construction does not guarantee (2-connectivity, compatibility).
-With compatibility required, `generate` draws in rounds, one candidate for
-each trial of a chunk still without a graph, and tables a round's candidates
-by one search (`build_tables`); a trial draws from its own generator alone,
-so the stream is the one a trial at a time gives.
+With compatibility required, `generate` draws in a few rounds, one candidate
+for each trial of a chunk still without a graph, and tables a round's candidates
+by one search (`build_tables`); a trial still without a graph then draws alone.
+A trial draws from its own generator alone, so the stream is the one a trial at
+a time gives.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ class GenerationExhaustedError(SignedGraphError):
 
 MAX_ORACLE_PATHS = 10**6
 _ATTEMPTS_PER_TRIAL = 2000
+_ROUNDS = 5  # a chunk's rounds; under 1 % of sgs's trials then still lack a graph
 
 REQUIREMENTS = ("balanced", "compatible", "connected", "two_connected")
 
@@ -103,13 +105,12 @@ def oracle_signs(g: SignedGraph, u: int, v: int, max_paths: int = MAX_ORACLE_PAT
     return PathSigns(has_pos, has_neg)
 
 
-def oracle_reachability(
-    g: SignedGraph, source: int, max_paths: int = MAX_ORACLE_PATHS
-) -> list[Reach]:
+def oracle_reachability(g: SignedGraph, source: int) -> list[Reach]:
     """`sign_reachability(g, source)` by brute force: after one `bfs`, a depth-first
-    search over its DAG lists every shortest path out of `source`, merging no
-    (vertex, sign) state, and marks each path's sign at its end.  Raises
-    DisconnectedError, and TooManyPathsError past `max_paths` listed paths."""
+    search over its DAG lists every shortest path out of `source`, the empty one
+    included, merging no (vertex, sign) state, and marks each path's sign at its
+    end.  Raises DisconnectedError, and TooManyPathsError past `MAX_ORACLE_PATHS`
+    listed paths."""
     dist = bfs(g, source)[1]
     if -1 in dist:
         raise DisconnectedError(f"vertex {dist.index(-1)} unreachable from {source}")
@@ -118,8 +119,8 @@ def oracle_reachability(
     listed = 0
     while stack:
         listed += 1
-        if listed > max_paths:
-            raise TooManyPathsError(f"more than {max_paths} shortest paths")
+        if listed > MAX_ORACLE_PATHS:
+            raise TooManyPathsError(f"more than {MAX_ORACLE_PATHS} shortest paths out of {source}")
         x, sign = stack.pop()
         seen[x][sign < 0] = True
         stack.extend((y, sign * s) for y, s in g.neighbors(x) if dist[y] == dist[x] + 1)
@@ -193,27 +194,27 @@ def _meets(g: SignedGraph, require: frozenset[str]) -> bool:
 
 
 def generate(spec: CorpusSpec) -> Iterator[SignedGraph]:
-    """Yield spec.trials graphs, deterministically from spec.seed.  A chunk holds as
-    many trials as `_batches` puts in one batch at the largest vertex count when a
-    round's candidates are tabled (compatibility required), else one trial."""
+    """Yield spec.trials graphs, deterministically from spec.seed.  With compatibility
+    required, a chunk of trials (as many as `_batches` puts in one batch at the largest
+    vertex count) draws in up to `_ROUNDS` rounds; a trial still without a graph then
+    draws alone, so a spec no graph meets costs about `_ATTEMPTS_PER_TRIAL` drafts."""
     tabled = "compatible" in spec.require
     chunk = max(1, _RUN_BUDGET // spec.vertex_range[1] ** 2) if tabled else 1
+    rounds = min(_ROUNDS, _ATTEMPTS_PER_TRIAL) if tabled else 0
     for start in range(0, spec.trials, chunk):
         trials = range(start, min(start + chunk, spec.trials))
         rngs = {t: random.Random(spec.seed * 2**32 + t) for t in trials}
         found: dict[int, SignedGraph] = {}
-        for _ in range(_ATTEMPTS_PER_TRIAL):
-            drawn = {t: _random_graph(rng, spec) for t, rng in rngs.items()}
-            if tabled:  # in one search, the candidates that meet the rest of the spec
-                build_tables(g for g in drawn.values() if _meets(g, spec.require - {"compatible"}))
+        for _ in range(rounds):  # tables in one search the drafts that meet the rest of the spec
+            drawn = {t: _random_graph(rng, spec) for t, rng in rngs.items() if t not in found}
+            build_tables(g for g in drawn.values() if _meets(g, spec.require - {"compatible"}))
             found.update((t, g) for t, g in drawn.items() if _meets(g, spec.require))
-            rngs = {t: rng for t, rng in rngs.items() if t not in found}
-            if not rngs:
-                break
-        for trial in trials:
-            if trial not in found:
+        for trial in trials:  # one the rounds left without a graph draws on alone, lazily
+            drafts = (_random_graph(rngs[trial], spec) for _ in range(_ATTEMPTS_PER_TRIAL - rounds))
+            g = found.get(trial) or next((g for g in drafts if _meets(g, spec.require)), None)
+            if g is None:
                 raise GenerationExhaustedError(
                     f"trial {trial}: no graph met {sorted(spec.require)} "
                     f"after {_ATTEMPTS_PER_TRIAL} attempts"
                 )
-            yield found[trial]
+            yield g

@@ -160,11 +160,13 @@ def test_reachability_requires_a_connected_graph_and_a_vertex():
         oracle_reachability(g, 4)
 
 
-def test_reachability_respects_its_path_budget():
+def test_reachability_respects_the_path_budget(monkeypatch):
     g = c4_one_negative()  # from 0: the empty path, 0-1, 0-3, 0-1-2 and 0-3-2
-    with pytest.raises(TooManyPathsError):
-        oracle_reachability(g, 0, max_paths=4)
-    assert oracle_reachability(g, 0, max_paths=5)[2].signs == PathSigns(True, True)
+    monkeypatch.setattr(oracle, "MAX_ORACLE_PATHS", 4)
+    with pytest.raises(TooManyPathsError, match="more than 4 shortest paths out of 0"):
+        oracle_reachability(g, 0)
+    monkeypatch.setattr(oracle, "MAX_ORACLE_PATHS", 5)
+    assert oracle_reachability(g, 0)[2].signs == PathSigns(True, True)
 
 
 def test_reachability_has_no_depth_limit():
@@ -360,17 +362,27 @@ def test_generation_matches_the_sequential_loop(monkeypatch, require, vertex_ran
         assert _outcome(generate(spec)) == _outcome(_sequential(spec))
 
 
-def test_generation_without_compatibility_draws_a_trial_at_a_time(monkeypatch):
-    # rounds would draw for every trial of a chunk before the first one ran out
+def _drafts_until_exhausted(monkeypatch, require):
     drawn = []
     draw = oracle._random_graph
     monkeypatch.setattr(
         oracle, "_random_graph", lambda rng, spec: drawn.append(1) or draw(rng, spec)
     )
-    spec = CorpusSpec(0, (2, 2), 0.5, frozenset({"two_connected"}), 100)
+    spec = CorpusSpec(0, (2, 2), 0.5, frozenset(require), 100)  # no 2-vertex graph is 2-connected
     with pytest.raises(GenerationExhaustedError, match="trial 0:"):
         list(generate(spec))
-    assert len(drawn) == oracle._ATTEMPTS_PER_TRIAL
+    return len(drawn)
+
+
+def test_generation_without_compatibility_draws_a_trial_at_a_time(monkeypatch):
+    # rounds would draw for every trial of a chunk before the first one ran out
+    assert _drafts_until_exhausted(monkeypatch, {"two_connected"}) == oracle._ATTEMPTS_PER_TRIAL
+
+
+def test_an_unmeetable_compatible_spec_stops_its_rounds_early(monkeypatch):
+    # the other 99 trials of the chunk draw only in the rounds; trial 0 then goes on alone
+    drafts = _drafts_until_exhausted(monkeypatch, {"compatible", "two_connected"})
+    assert drafts == 99 * oracle._ROUNDS + oracle._ATTEMPTS_PER_TRIAL
 
 
 # chunks of 512 and of 3 trials
