@@ -2,9 +2,11 @@
 
 Subcommands: info, distance, power, complete, balance, compatible,
 spectrum, lift, project, verify, generate.  Graphs travel as the plain
-text format of `fileio`.  Domain errors and unreadable files exit with
-status 1 and the error name on standard error; usage errors exit with
-status 2.
+text format of `fileio`.  `distance`, `power` and `complete` write
+straight from the sign table: `distance` looks up each cell's text in a
+table of labels, one gather and one write per block of rows.  Domain
+errors and unreadable files exit with status 1 and the error name on
+standard error; usage errors exit with status 2.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import harness
+from . import distance, harness
 from .balance import is_balanced, lift_path, project_path
 from .core import (
     NonUniquePowerError,
@@ -27,11 +29,12 @@ from .core import (
     walk_sign,
 )
 from .distance import (
+    _NEG,
+    _POS,
     _SIGMA_MAX,
     _SIGMA_MIN,
     _reach_table,
     diameter,
-    distance_matrices,
     first_incompatible_pair,
     is_compatible,
     shortest_path_with_sign,
@@ -86,11 +89,6 @@ def _sign_char(s: int) -> str:
     return "+" if s > 0 else "-"
 
 
-def _print_matrix(m) -> None:
-    for row in m.tolist():
-        print("\t".join(map(str, row)))
-
-
 # -- subcommand handlers ----------------------------------------------------
 
 
@@ -117,12 +115,22 @@ def _cmd_info(args) -> int:
 
 def _cmd_distance(args) -> int:
     g = _load(args.file)
-    for mode, m in zip(("max", "min"), distance_matrices(g)):
+    table = _reach_table(g)
+    d = table.diameter  # entry d + k of `cells` is "k\t", of `ends` "k\n"
+    cells, ends = (np.array([f"{k}{c}" for k in range(-d, d + 1)], dtype=object) for c in "\t\n")
+    rows = max(1, distance._RUN_BUDGET // g.vertex_count)
+    # D_max is +dist where a shortest path is positive, D_min is -dist where one is negative
+    for mode, bit, sign in (("max", _POS, 1), ("min", _NEG, -1)):
         if args.mode == "both":
-            print(f"# {mode}")
+            sys.stdout.write(f"# {mode}\n")
         elif args.mode != mode:
             continue
-        _print_matrix(m)
+        for lo in range(0, g.vertex_count, rows):
+            dist = sign * table.dist[lo : lo + rows].astype(np.intp)  # d + dist may pass int16
+            index = np.where(table.mask[lo : lo + rows] & bit, d + dist, d - dist)
+            text = cells[index]
+            text[:, -1] = ends[index[:, -1]]
+            sys.stdout.write("".join(text.ravel().tolist()))
     return 0
 
 
@@ -294,7 +302,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("spectrum", _cmd_spectrum, help="adjacency spectrum")
     p.add_argument("--complete-pm", action="store_true", help="spectrum of the common-sign completion")
-    p.add_argument("--tol", type=_checked(float, lambda x: x > 0, "positive"), default=DEFAULT_TOL)
+    tol = _checked(float, lambda x: 0 < x < np.inf, "positive and finite")  # nan compares false
+    p.add_argument("--tol", type=tol, default=DEFAULT_TOL)
     p.add_argument("file")
 
     p = add("lift", _cmd_lift, help="lift a path into the n-th power")

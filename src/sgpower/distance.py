@@ -58,7 +58,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import DisconnectedError, SignedGraph
+from .core import DisconnectedError, MissingWitnessError, SignedGraph
 
 
 @dataclass(frozen=True)
@@ -365,6 +365,6 @@ def shortest_path_with_sign(g: SignedGraph, u: int, v: int, sign: int) -> tuple[
                 acc *= s
                 x = y
                 break
-        else:  # pragma: no cover - the invariant above guarantees progress
-            raise AssertionError("sign-constrained reconstruction got stuck")
+        else:  # only a table that disagrees with g gets here
+            raise MissingWitnessError(f"no shortest {u}-{v} path of sign {sign:+d} past vertex {x}")
     return tuple(path)

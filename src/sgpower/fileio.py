@@ -52,9 +52,7 @@ class GraphSyntaxError(SignedGraphError):
 def parse_graph(text: str) -> SignedGraph:
     lines = text.splitlines()
     significant = [
-        (i + 1, line.strip())
-        for i, line in enumerate(lines)
-        if line.strip() and not line.strip().startswith("#")
+        (i, line) for i, line in enumerate(map(str.strip, lines), 1) if line and not line.startswith("#")
     ]
     if not significant:
         raise GraphSyntaxError(len(lines) + 1, "missing 'sg 1' header")

@@ -71,8 +71,8 @@ def eigenvalues(m: np.ndarray, tol: float = DEFAULT_TOL) -> Spectrum:
         raise ValueError("matrix has a non-finite entry")
     if not np.array_equal(a, a.T):
         raise NotSymmetricError("matrix is not symmetric")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite")
     try:
         ascending = np.linalg.eigvalsh(a.astype(np.float64))
     except np.linalg.LinAlgError as exc:

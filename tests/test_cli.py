@@ -22,6 +22,7 @@ from sgpower import (
     SignedGraphError,
     associated_complete,
     diameter,
+    distance_matrices,
     generate,
     lift_path,
     parse_graph,
@@ -40,6 +41,7 @@ from conftest import (
     complete_graph,
     connected_signed_graphs,
     cycle_graph,
+    path_graph,
 )
 
 
@@ -107,6 +109,69 @@ def test_distance_modes(capsys, c4_file):
     assert "-2" in lines[lines.index("# min") + 1]
 
 
+# -- distance against the library ----------------------------------------------------
+
+
+def _matrix_text(g, mode):
+    """The text `distance --mode mode` owes for g, written cell by cell from `distance_matrices`."""
+    out = []
+    for name, m in zip(("max", "min"), distance_matrices(g)):
+        if mode == "both":
+            out.append(f"# {name}\n")
+        elif mode != name:
+            continue
+        out += ["\t".join(map(str, row)) + "\n" for row in m.tolist()]
+    return "".join(out)
+
+
+def assert_distance_matches_library(g):
+    with tempfile.TemporaryDirectory() as tmp:
+        f = Path(tmp) / "g.sg"
+        f.write_text(serialize_graph(g))
+        for mode in ("max", "min", "both"):
+            want = _library_run(lambda: _matrix_text(g, mode))
+            assert run_captured(["distance", "--mode", mode, str(f)]) == want, mode
+
+
+_DISTANCE_GRAPHS = {
+    **{f.name: parse_graph(f.read_text()) for f in sorted((ROOT / "data").glob("*.sg"))},
+    "one vertex": SignedGraph(1, []),  # diameter 0: the one label "0\n"
+    "signed path": path_graph([(-1) ** (i // 3) for i in range(39)]),  # labels -39..39
+    "three-digit ids": next(generate(CorpusSpec(11, (120, 120), 0.03))),
+    "disconnected": SignedGraph(4, [(0, 1, 1), (2, 3, -1)]),
+    "isolated vertex": SignedGraph(3, [(0, 1, -1)]),
+}
+
+
+@pytest.mark.parametrize("name", list(_DISTANCE_GRAPHS))
+def test_distance_prints_the_library_matrices(name):
+    assert_distance_matches_library(_DISTANCE_GRAPHS[name])
+
+
+class _CountingWrites(io.StringIO):
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("budget, blocks", [(7, 40), (130, 14)])
+def test_distance_writes_blocks_of_rows(monkeypatch, budget, blocks):
+    """At most `budget` cells a block, one row at least: 40 rows of 40 go as 40 blocks
+    of one row, or 13 blocks of three rows and a last one of one row."""
+    g = path_graph([1, -1, -1] * 13)
+    monkeypatch.setattr(distance, "_RUN_BUDGET", budget)
+    assert_distance_matches_library(g)
+    with tempfile.TemporaryDirectory() as tmp:
+        f = Path(tmp) / "g.sg"
+        f.write_text(serialize_graph(g))
+        out = _CountingWrites()
+        with contextlib.redirect_stdout(out):
+            assert main(["distance", "--mode", "max", str(f)]) == 0
+    assert out.writes == blocks
+
+
 # -- power / complete ---------------------------------------------------------------
 
 
@@ -168,10 +233,10 @@ def test_complete_modes(capsys, c4_file, c7_file):
 # -- power and complete against the library -------------------------------------------
 
 
-def _library_run(build):
-    """(exit code, stdout, stderr) that the CLI owes for the graph `build()` returns."""
+def _library_run(text):
+    """(exit code, stdout, stderr) that the CLI owes when it prints `text()`."""
     try:
-        return 0, serialize_graph(build()), ""
+        return 0, text(), ""
     except SignedGraphError as exc:
         return 1, "", f"{type(exc).__name__.removesuffix('Error')}: {exc}\n"
 
@@ -191,7 +256,7 @@ def assert_cli_matches_library(g, exponents):
         f = Path(tmp) / "g.sg"
         f.write_text(serialize_graph(g))
         for argv, build in cases:
-            assert run_captured([*argv, str(f)]) == _library_run(build), argv
+            assert run_captured([*argv, str(f)]) == _library_run(lambda: serialize_graph(build())), argv
 
 
 def _exponents(g):
@@ -512,9 +577,11 @@ def test_info_on_a_huge_sparse_graph_needs_no_search(capsys, tmp_path):
             ["verify", "--theorem", "t27", "--max-vertices", "2"],
             "argument --max-vertices: must be at least 3, got 2",
         ),
-        (["spectrum", "--tol", "0"], "argument --tol: must be positive, got 0"),
+        (["spectrum", "--tol", "0"], "argument --tol: must be positive and finite, got 0"),
         (["lift", "-n", "2", "--path", "0,x"], "argument --path: expected comma-separated"),
         (["project", "-n", "2", "--path", "0,x"], "argument --path: expected comma-separated"),
+        (["spectrum", "--tol", "inf"], "argument --tol: must be positive and finite, got inf"),
+        (["spectrum", "--tol", "nan"], "argument --tol: must be positive and finite, got nan"),
     ],
 )
 def test_bad_argument_values_are_one_line_usage_errors(capsys, c4_file, argv, message):

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from sgpower import (
     DisconnectedError,
+    MissingWitnessError,
     PathSigns,
     SignedGraph,
     VertexOutOfRangeError,
@@ -553,6 +554,13 @@ def test_sign_constrained_path_corner_cases():
     assert shortest_path_with_sign(g, 0, 2, 1) is None
     with pytest.raises(ValueError):
         shortest_path_with_sign(g, 0, 2, 0)
+
+
+def test_a_table_that_disagrees_with_its_graph_is_a_missing_witness():
+    g = all_negative_cycle(4)
+    g._cache["reach_table"] = _reach_table(cycle_graph([1, 1, 1, 1]))  # every path positive
+    with pytest.raises(MissingWitnessError, match=r"^no shortest 0-2 path of sign \+1 past vertex 0$"):
+        shortest_path_with_sign(g, 0, 2, 1)
 
 
 def test_sign_constrained_path_checks_both_vertices():

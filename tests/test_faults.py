@@ -12,6 +12,7 @@ import importlib
 import pytest
 
 from sgpower import PathSigns, Reach, SignedGraph, distance, harness, oracle
+from sgpower.core import bfs
 from sgpower.distance import _SIGMA_MIN, _reach_table
 from sgpower.harness import run_theorem
 
@@ -80,6 +81,31 @@ def _corpus_ignores_compatible(monkeypatch):
     monkeypatch.setattr(oracle, "_meets", lambda g, require: meets(g, require - {"compatible"}))
 
 
+def _positive_cover(monkeypatch):
+    """`_cover_arcs` reads every edge as positive; `le`'s witness search then gets stuck."""
+    arcs = distance._cover_arcs
+    monkeypatch.setattr(distance, "_cover_arcs", lambda gs, n: arcs(
+        [SignedGraph(g.vertex_count, [(u, v, 1) for u, v, _ in g.edges]) for g in gs], n
+    ))
+
+
+def _every_graph_balanced(monkeypatch):
+    """`_balance_report` calls an unbalanced graph balanced, labelled by its BFS tree."""
+    report = balance_module._balance_report
+
+    def balanced(g):
+        found = report(g)
+        if found.balanced:
+            return found
+        order, _, parent = bfs(g)
+        label = [1] * g.vertex_count
+        for y in order[1:]:
+            label[y] = label[parent[y]] * g.sign(parent[y], y)
+        return balance_module.BalanceReport(balanced=True, switching_labels=tuple(label))
+
+    monkeypatch.setattr(balance_module, "_balance_report", balanced)
+
+
 FAULTS = {
     "flipped_completion": (_flipped_completion, ("diam", "l1", "le", "cbp", "sgs", "nbc")),
     "unique_at_d0": (_unique_at_d0, ("t1", "l1", "t27")),
@@ -87,6 +113,8 @@ FAULTS = {
     "diameter_one_too_low": (_diameter_one_too_low, ("diam", "le", "sgs")),
     "single_signed_oracle": (_single_signed_oracle, ("t1",)),
     "corpus_ignores_compatible": (_corpus_ignores_compatible, ("sgs",)),
+    "positive_cover": (_positive_cover, ("t1", "diam", "l1", "le", "cbp", "sgs", "nbc")),
+    "every_graph_balanced": (_every_graph_balanced, ("cbp", "sgs", "nbc")),
 }
 
 

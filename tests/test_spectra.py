@@ -83,6 +83,12 @@ def test_spectrum_grouping_tolerance():
     assert isinstance(spec, Spectrum)
 
 
+@pytest.mark.parametrize("tol", [np.inf, np.nan, -1.0])
+def test_eigenvalues_needs_a_positive_finite_tol(tol):
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        eigenvalues(np.eye(2), tol=tol)
+
+
 def test_eigenvalues_input_validation():
     with pytest.raises(NotSymmetricError):
         eigenvalues(np.array([[0, 1], [2, 0]]))
