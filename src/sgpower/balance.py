@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .core import (
-    BadExponentError,
     DisconnectedError,
     NonUniquePowerError,
     NotAPathError,
@@ -33,6 +32,7 @@ from .core import (
     NotTwoConnectedError,
     PreconditionViolatedError,
     SignedGraph,
+    _exponent,
     bfs,
     is_two_connected,
     path_sign,
@@ -104,8 +104,7 @@ def lift_path(g: SignedGraph, p: Sequence[int], n: int) -> tuple[int, ...]:
     shortest path its blocks are shortest too, so the lifted path keeps
     the sign of p.
     """
-    if n < 1:
-        raise BadExponentError(f"power exponent must be >= 1, got {n}")
+    n = _exponent(n)
     path_sign(g, p)  # validates p
     if not is_power_unique(g, n):
         raise NonUniquePowerError(f"the {n}-th power of the graph is not unique")
@@ -176,7 +175,7 @@ def verify_power_balance(g: SignedGraph, n: int) -> CheckOutcome:
     if not is_two_connected(g):
         raise NotTwoConnectedError("the power balance equivalence needs a 2-connected graph")
     base = is_balanced(g).balanced
-    pr = power(g, n)  # raises BadExponentError for n < 1
+    pr = power(g, n)  # raises BadExponentError for a bad exponent
     # non-unique power: balance would force uniqueness, so base must be
     # unbalanced and so must both powers
     powers = (pr.power_max,) if pr.unique else (pr.power_max, pr.power_min)
@@ -191,7 +190,7 @@ def verify_balanced_implies_power_compatible(g: SignedGraph, n: int) -> CheckOut
     """On a balanced 2-connected graph the n-th power is compatible."""
     if not is_two_connected(g):
         raise NotTwoConnectedError("this check needs a 2-connected graph")
-    pr = power(g, n)  # raises BadExponentError for n < 1
+    pr = power(g, n)  # raises BadExponentError for a bad exponent
     if not is_balanced(g).balanced:
         raise NotBalancedError("this check needs a balanced graph")
     if not pr.unique:

@@ -321,7 +321,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_checked(int, lambda k: k >= 1, "at least 1"), default=100)
     p.add_argument("--seed", type=int, default=0)
     # every theorem key but sgs draws graphs of at least 3 vertices
-    p.add_argument("--max-vertices", type=_checked(int, lambda k: k >= 3, "at least 3"), default=8)
+    cap = harness.MAX_VERTICES
+    vertices = _checked(_checked(int, lambda k: k >= 3, "at least 3"), lambda k: k <= cap, f"at most {cap}")
+    p.add_argument("--max-vertices", type=vertices, default=8)
     p.add_argument("--bundle", default="counterexamples", help="directory for failure bundles")
 
     p = add("generate", _cmd_generate, help="emit graphs from a corpus spec file")

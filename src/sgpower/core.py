@@ -13,6 +13,7 @@ return new graphs.  A graph on a single vertex counts as connected.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Iterator, Sequence
 
 
@@ -45,7 +46,18 @@ class DisconnectedError(SignedGraphError):
 
 
 class BadExponentError(SignedGraphError):
-    """Power exponent below 1."""
+    """Power exponent that is not an integer of at least 1."""
+
+
+def _exponent(n) -> int:
+    """The power exponent n as an int: BadExponentError unless n is an integer (numpy's too) >= 1."""
+    try:
+        k = operator.index(n)
+    except TypeError:
+        raise BadExponentError(f"power exponent must be an integer, got {n!r}") from None
+    if k < 1:
+        raise BadExponentError(f"power exponent must be >= 1, got {n}")
+    return k
 
 
 class NotCompatibleError(SignedGraphError):
@@ -289,9 +301,10 @@ def walk_sign(g: SignedGraph, walk: Sequence[int]) -> int:
             raise NotAPathError(f"vertex {v} outside [0, {g.vertex_count})")
     sign = 1
     for a, b in zip(walk, walk[1:]):
-        if not g.has_edge(a, b):
+        s = g._sign_by_pair.get((a, b) if a < b else (b, a))
+        if s is None:
             raise NotAPathError(f"({a}, {b}) is not an edge")
-        sign *= g.sign(a, b)
+        sign *= s
     return sign
 
 

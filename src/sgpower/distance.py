@@ -335,20 +335,20 @@ def diameter(g: SignedGraph) -> int:
 def shortest_path_with_sign(g: SignedGraph, u: int, v: int, sign: int) -> tuple[int, ...] | None:
     """Lexicographically least shortest u-v path of the requested sign.
 
-    Returns None when no shortest u-v path has that sign.  Greedy
-    reconstruction over the shortest-path DAG: at each step take the
-    smallest next vertex from which the remaining sign requirement is
-    still achievable (checked against the sign row of v).
+    None when no shortest u-v path has that sign.  Greedy walk over the
+    shortest-path DAG: each step takes the least next vertex from which
+    the sign still needed is reachable, read in place off row v of the
+    table, so a call costs O(path length * degree) once the table exists.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     g._check_vertex(u)
     g._check_vertex(v)
     table = _reach_table(g)
-    to_v = table.dist[v].tolist()
-    signs_v = table.mask[v].tolist()
     if u == v:
         return (u,) if sign == 1 else None
+    to_v = memoryview(table.dist[v])
+    signs_v = memoryview(table.mask[v])
     if not signs_v[u] & (_POS if sign > 0 else _NEG):
         return None
     path = [u]

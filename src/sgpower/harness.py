@@ -56,6 +56,7 @@ from .spectra import balanced_spectrum_test
 THEOREM_ORDER = ("t1", "diam", "l1", "le", "t27", "blcm", "l3", "cbp", "sgs", "nbc")
 
 _PAIRS_PER_TRIAL = 3  # sampled start/end pairs for the path lemmas
+MAX_VERTICES = 1 << 10  # a trial of V vertices holds about p * V^2 / 2 edges, p = 0.25-0.5
 
 
 @dataclass
@@ -284,6 +285,8 @@ def _tabled(graphs):
 def run_theorem(theorem: str, trials: int, seed: int, max_vertices: int = 8) -> TheoremReport:
     if theorem not in _CHECKS:
         raise ValueError(f"unknown theorem key {theorem!r}")
+    if max_vertices > MAX_VERTICES:
+        raise ValueError(f"max_vertices must be at most {MAX_VERTICES}, got {max_vertices}")
     check = _CHECKS[theorem]
     report = TheoremReport(theorem, trials, 0)
     for trial, g in enumerate(_tabled(_corpus_graphs(theorem, trials, seed, max_vertices))):

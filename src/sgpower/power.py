@@ -38,7 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import BadExponentError, NotCompatibleError, SignedGraph
+from .core import NotCompatibleError, SignedGraph, _exponent
 from .distance import (
     _BOTH,
     _SIGMA_MAX,
@@ -170,8 +170,7 @@ def power(g: SignedGraph, n: int) -> PowerResult:
     Raises BadExponentError and DisconnectedError here; the powers, the
     uniqueness flag and the witnesses are built when first read.
     """
-    if n < 1:
-        raise BadExponentError(f"power exponent must be >= 1, got {n}")
+    n = _exponent(n)
     _reach_table(g)  # a disconnected graph raises here, not on first read
     return PowerResult(g, n)
 
@@ -180,7 +179,7 @@ def first_incompatible_pair_within(g: SignedGraph, n: int) -> tuple[int, int] | 
     """Lexicographically first pair u < v at distance <= n with shortest
     paths of both signs: the first edge where the max and min n-th powers
     differ.  None when the n-th power is unique."""
-    if is_power_unique(g, n):  # nothing to find; raises for n < 1
+    if is_power_unique(g, n):  # nothing to find; raises for a bad exponent
         return None
     table = _reach_table(g)
     bad = ((table.mask == _BOTH) & (table.dist <= n)).ravel()
@@ -191,8 +190,7 @@ def first_incompatible_pair_within(g: SignedGraph, n: int) -> tuple[int, int] | 
 def is_power_unique(g: SignedGraph, n: int) -> bool:
     """True iff the n-th power is unique: by the uniqueness theorem, iff every
     pair at distance <= n is compatible, i.e. n < d0, recorded by the table's build."""
-    if n < 1:
-        raise BadExponentError(f"power exponent must be >= 1, got {n}")
+    n = _exponent(n)
     d0 = _reach_table(g).d0
     return d0 is None or n < d0
 

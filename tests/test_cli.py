@@ -582,6 +582,10 @@ def test_info_on_a_huge_sparse_graph_needs_no_search(capsys, tmp_path):
         (["project", "-n", "2", "--path", "0,x"], "argument --path: expected comma-separated"),
         (["spectrum", "--tol", "inf"], "argument --tol: must be positive and finite, got inf"),
         (["spectrum", "--tol", "nan"], "argument --tol: must be positive and finite, got nan"),
+        (
+            ["verify", "--theorem", "t1", "--max-vertices", "1025"],
+            "argument --max-vertices: must be at most 1024, got 1025",
+        ),
     ],
 )
 def test_bad_argument_values_are_one_line_usage_errors(capsys, c4_file, argv, message):

@@ -181,6 +181,13 @@ def test_walk_sign_rejects_bad_sequences():
         walk_sign(g, [0, 2])  # not an edge
     with pytest.raises(NotAPathError):
         walk_sign(g, [0, 5])  # out of range
+    # every vertex is range-checked before any edge is looked up
+    with pytest.raises(NotAPathError, match=r"^vertex 5 outside \[0, 3\)$"):
+        walk_sign(g, [0, 2, 5])
+    with pytest.raises(NotAPathError, match=r"^\(0, 0\) is not an edge$"):
+        walk_sign(g, [0, 0])
+    with pytest.raises(NotAPathError, match=r"^\(2, 0\) is not an edge$"):
+        walk_sign(g, [1, 2, 0])
 
 
 def test_path_sign_rejects_repeats():

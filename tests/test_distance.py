@@ -113,6 +113,13 @@ def test_reach_table_on_one_and_two_vertices():
     assert table.mask.tolist() == [[1, 2], [2, 1]]
 
 
+def _signed_grid(side, seed):
+    rng = random.Random(seed)  # random signs: many incompatible pairs
+    edges = [(v, v + 1, rng.choice((1, -1))) for v in range(side * side) if v % side < side - 1]
+    edges += [(v, v + side, rng.choice((1, -1))) for v in range(side * (side - 1))]
+    return SignedGraph(side * side, edges)
+
+
 def test_reach_table_on_a_long_path():
     # one BFS level per edge: diameter 2999, alternating signs
     n = 3000
@@ -127,17 +134,18 @@ def test_reach_table_on_a_long_path():
     expected = np.where(np.multiply.outer(prefix, prefix) > 0, np.uint8(1), np.uint8(2))
     assert np.array_equal(mask, expected)
     assert diameter(g) == n - 1
+    # the witness walk reads its entries in place, from either end of the path
+    whole = int(prefix[-1])
+    assert shortest_path_with_sign(g, 0, n - 1, whole) == tuple(range(n))
+    assert shortest_path_with_sign(g, n - 1, 0, whole) == tuple(range(n - 1, -1, -1))
+    assert shortest_path_with_sign(g, 0, n - 1, -whole) is None
 
 
 def test_reach_table_on_a_grid_matches_reference():
     # many shortest paths per pair, so many repeated keys at every level
-    rng = random.Random(7)
-    side = 10
-    edges = [(v, v + 1, rng.choice((1, -1))) for v in range(side * side) if v % side < side - 1]
-    edges += [(v, v + side, rng.choice((1, -1))) for v in range(side * (side - 1))]
-    g = SignedGraph(side * side, edges)
+    g = _signed_grid(10, 7)
     _assert_table_matches_reference(g)
-    assert diameter(g) == 2 * (side - 1)
+    assert diameter(g) == 2 * (10 - 1)
 
 
 def test_disconnected_graph_names_the_reference_pair(monkeypatch):
@@ -561,6 +569,56 @@ def test_a_table_that_disagrees_with_its_graph_is_a_missing_witness():
     g._cache["reach_table"] = _reach_table(cycle_graph([1, 1, 1, 1]))  # every path positive
     with pytest.raises(MissingWitnessError, match=r"^no shortest 0-2 path of sign \+1 past vertex 0$"):
         shortest_path_with_sign(g, 0, 2, 1)
+
+
+class _NoList(np.ndarray):
+    """A table array that cannot become a list, so a reader must index it in place."""
+
+    def tolist(self):
+        raise AssertionError("a table row was copied into a list")
+
+
+def _lex_least(g, u, v, sign):
+    """The oracle's lexicographically least shortest u-v path of that sign, or None."""
+    return min((p for p in enumerate_shortest_paths(g, u, v) if path_sign(g, p) == sign), default=None)
+
+
+def _assert_walks_match_the_oracle(g, pairs, convert=lambda u: u):
+    for u, v in pairs:
+        for sign in (1, -1):
+            assert shortest_path_with_sign(g, convert(u), convert(v), sign) == _lex_least(g, u, v, sign)
+
+
+def test_a_witness_walk_reads_the_table_in_place():
+    g = _signed_grid(4, 11)
+    table = _reach_table(g)
+    g._cache["reach_table"] = table._replace(dist=table.dist.view(_NoList), mask=table.mask.view(_NoList))
+    pairs = [(u, v) for u in range(16) for v in range(16) if u != v]
+    _assert_walks_match_the_oracle(g, pairs)
+    pr = power(g, 2)
+    close = [(u, v) for u, v in pairs if u < v and table.dist[u, v] <= 2]
+    for witnesses, sigma in ((pr.witnesses_max, distance._SIGMA_MAX), (pr.witnesses_min, distance._SIGMA_MIN)):
+        for u, v in close:
+            assert witnesses[u, v] == _lex_least(g, u, v, sigma[table.mask[u, v]])
+
+
+def test_witness_walks_read_every_kind_of_table():
+    rng = random.Random(5)
+    graphs = [_signed_grid(3, 1), c4_one_negative(), all_negative_cycle(7)]
+    graphs += [SignedGraph(k, [(i, i + 1, rng.choice((1, -1))) for i in range(k - 1)]) for k in (2, 5)]
+    build_tables(graphs)
+    tables = [_reach_table(g) for g in graphs]
+    assert all(t.dist.base is tables[0].dist.base for t in tables)  # one batch
+    assert not all(t.dist.flags.c_contiguous for t in tables)  # views into the batch's table
+    for g in graphs:
+        pairs = [(u, v) for u in range(g.vertex_count) for v in range(g.vertex_count)]
+        _assert_walks_match_the_oracle(g, pairs)
+        _assert_walks_match_the_oracle(g, pairs, np.int64)
+    # int32 distances, as tables of 2^15 vertices or more have them
+    g = _signed_grid(4, 12)
+    table = _reach_table(g)
+    g._cache["reach_table"] = table._replace(dist=table.dist.astype(np.int32))
+    _assert_walks_match_the_oracle(g, [(u, v) for u in range(16) for v in range(16)])
 
 
 def test_sign_constrained_path_checks_both_vertices():

@@ -9,9 +9,10 @@ fault does not check what that fault breaks.
 
 import importlib
 
+import numpy as np
 import pytest
 
-from sgpower import PathSigns, Reach, SignedGraph, distance, harness, oracle
+from sgpower import PathSigns, Reach, SignedGraph, distance, harness, oracle, spectra
 from sgpower.core import bfs
 from sgpower.distance import _SIGMA_MIN, _reach_table
 from sgpower.harness import run_theorem
@@ -106,6 +107,13 @@ def _every_graph_balanced(monkeypatch):
     monkeypatch.setattr(balance_module, "_balance_report", balanced)
 
 
+def _spectral_test_ignores_signs(monkeypatch):
+    """`_is_sign_outer_product` compares |B| with |B[0] B[0]^T|, so every compatible graph reads balanced."""
+    monkeypatch.setattr(
+        spectra, "_is_sign_outer_product", lambda b: np.array_equal(np.abs(b), np.abs(np.outer(b[0], b[0])))
+    )
+
+
 FAULTS = {
     "flipped_completion": (_flipped_completion, ("diam", "l1", "le", "cbp", "sgs", "nbc")),
     "unique_at_d0": (_unique_at_d0, ("t1", "l1", "t27")),
@@ -115,6 +123,7 @@ FAULTS = {
     "corpus_ignores_compatible": (_corpus_ignores_compatible, ("sgs",)),
     "positive_cover": (_positive_cover, ("t1", "diam", "l1", "le", "cbp", "sgs", "nbc")),
     "every_graph_balanced": (_every_graph_balanced, ("cbp", "sgs", "nbc")),
+    "spectral_test_ignores_signs": (_spectral_test_ignores_signs, ("sgs",)),
 }
 
 

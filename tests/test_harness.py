@@ -44,6 +44,13 @@ def test_unknown_theorem_rejected():
         run_theorem("t99", 5, 0)
 
 
+def test_max_vertices_above_the_cap_rejected():
+    # raised before any graph is drawn: a corpus of 2^27 vertices would not fit in memory
+    for too_many in (harness.MAX_VERTICES + 1, 2**27):
+        with pytest.raises(ValueError, match=rf"^max_vertices must be at most 1024, got {too_many}$"):
+            run_theorem("t1", 1, 0, too_many)
+
+
 @pytest.mark.parametrize("name", THEOREM_ORDER)
 def test_reports_are_deterministic(name):
     a = run_theorem(name, 12, seed=7, max_vertices=7)

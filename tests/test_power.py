@@ -29,6 +29,7 @@ from sgpower import (
     is_balanced,
     is_compatible,
     is_power_unique,
+    lift_path,
     oracle_signs,
     path_sign,
     power,
@@ -64,6 +65,26 @@ def test_exponent_must_be_at_least_one():
             is_power_unique(g, bad)
         with pytest.raises(BadExponentError):
             first_incompatible_pair_within(g, bad)
+
+
+def test_exponent_must_be_an_integer():
+    g = path_graph([1, -1, 1])
+    checks = (
+        lambda n: power(g, n),
+        lambda n: is_power_unique(g, n),
+        lambda n: lift_path(g, (0, 1, 2), n),
+        lambda n: first_incompatible_pair_within(g, n),
+    )
+    for bad, shown in ((1.5, "1.5"), (2.0, "2.0"), (math.nan, "nan"), (math.inf, "inf"), ("2", "'2'")):
+        for check in checks:
+            with pytest.raises(BadExponentError, match=rf"^power exponent must be an integer, got {shown}$"):
+                check(bad)
+    # any integer type passes, numpy's too
+    two = np.int64(2)
+    assert power(g, two).power_max == power(g, 2).power_max
+    assert power(g, two).witnesses_max[0, 2] == (0, 1, 2)
+    assert is_power_unique(g, two) and first_incompatible_pair_within(g, two) is None
+    assert lift_path(g, (0, 1, 2, 3), two) == (0, 2, 3)
 
 
 @given(connected_signed_graphs(), st.integers(1, 5))
