@@ -319,12 +319,23 @@ def is_compatible(g: SignedGraph) -> bool:
     return _reach_table(g).d0 is None
 
 
+def _first_both(table: _Table, n: int | None = None) -> tuple[int, int] | None:
+    """Row-major first pair with both signs (and distance <= n), read a block of rows at a time."""
+    v = len(table.mask)
+    rows = max(1, _RUN_BUDGET // v)
+    for lo in range(0, v, rows):
+        block = slice(lo, lo + rows)
+        signs = table.mask[block] if n is None else table.mask[block] * (table.dist[block] <= n)
+        if (at := signs.tobytes().find(_BOTH)) >= 0:
+            return divmod(lo * v + at, v)
+    return None
+
+
 def first_incompatible_pair(g: SignedGraph) -> tuple[int, int] | None:
     """Lexicographically first pair u < v with shortest paths of both signs."""
     if is_compatible(g):
         return None
-    # the first hit in row-major order has u < v, as the mask is symmetric
-    return divmod(_reach_table(g).mask.tobytes().find(_BOTH), g.vertex_count)
+    return _first_both(_reach_table(g))  # u < v, as the mask is symmetric
 
 
 def diameter(g: SignedGraph) -> int:

@@ -40,9 +40,9 @@ import numpy as np
 
 from .core import NotCompatibleError, SignedGraph, _exponent
 from .distance import (
-    _BOTH,
     _SIGMA_MAX,
     _SIGMA_MIN,
+    _first_both,
     _reach_table,
     diameter,
     first_incompatible_pair,
@@ -181,10 +181,7 @@ def first_incompatible_pair_within(g: SignedGraph, n: int) -> tuple[int, int] | 
     differ.  None when the n-th power is unique."""
     if is_power_unique(g, n):  # nothing to find; raises for a bad exponent
         return None
-    table = _reach_table(g)
-    bad = ((table.mask == _BOTH) & (table.dist <= n)).ravel()
-    # the first hit in row-major order has u < v, as both arrays are symmetric
-    return divmod(int(bad.argmax()), g.vertex_count)
+    return _first_both(_reach_table(g), n)  # u < v, as both arrays are symmetric
 
 
 def is_power_unique(g: SignedGraph, n: int) -> bool:

@@ -9,6 +9,8 @@ import hashlib
 import io
 import itertools
 import json
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -30,7 +32,7 @@ from sgpower import (
     serialize_graph,
     walk_sign,
 )
-from sgpower import distance
+from sgpower import cli, distance
 from sgpower.cli import main
 from sgpower.harness import THEOREM_ORDER
 
@@ -38,6 +40,7 @@ from conftest import (
     ROOT,
     all_negative_cycle,
     c4_one_negative,
+    child_env,
     complete_graph,
     connected_signed_graphs,
     cycle_graph,
@@ -606,6 +609,68 @@ def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as e:
         main(["power", "--mode", "sideways", "x.sg"])
     assert e.value.code == 2
+
+
+# -- one parser per process ---------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (["spectrum", "--complete-pm", "--tol", "1e-3", "C7"], ["spectrum", "C7"]),
+        (["power", "-n", "2", "--mode", "max", "C4"], ["power", "-n", "2", "C4"]),  # default unique
+        (["distance", "--mode", "max", "C4"], ["distance", "C4"]),
+        (["verify", "--theorem", "t1", "--trials", "2"], ["verify", "--trials", "1"]),
+    ],
+)
+def test_the_shared_parser_carries_nothing_from_one_call_to_the_next(
+    monkeypatch, tmp_path, c4_file, c7_file, first, second
+):
+    monkeypatch.chdir(tmp_path)  # where a failing `verify` writes its default bundle
+    files = {"C4": c4_file, "C7": c7_file}
+    first, second = ([files.get(a, a) for a in argv] for argv in (first, second))
+    backward = [run_captured(second), run_captured(first)]  # second before first has given any option
+    forward = [run_captured(first), run_captured(second)]
+    assert forward == backward[::-1]
+    assert forward[0] != forward[1]  # the options left out of the second call matter
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_a_usage_error_or_help_leaves_the_next_call_as_it_was():
+    info = ["info", str(ROOT / "data" / "c7neg.sg")]
+    golden = (0, GOLDEN_CLI["info c7neg.sg"], "")
+    bad = ["power", "--mode", "x", str(ROOT / "data" / "c7neg.sg")]
+    assert run_captured(info) == golden
+    code, out, err = usage = run_captured(bad)
+    assert (code, out) == (2, "") and len(err.splitlines()) == 1
+    assert run_captured(info) == golden
+    for help_argv in (["--help"], ["power", "--help"]):
+        code, out, err = run_captured(help_argv)
+        assert (code, err) == (0, "") and out.startswith("usage: sgpower")
+        assert run_captured(info) == golden
+    assert run_captured(bad) == usage
+
+
+def test_the_module_entry_point_runs_in_a_fresh_process():
+    def sgpower(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "sgpower", *argv],
+            cwd=ROOT,
+            env=child_env(),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+
+    proc = sgpower("info", "data/c7neg.sg")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, GOLDEN_CLI["info c7neg.sg"], "")
+    proc = sgpower("--help")
+    assert proc.returncode == 0
+    commands = ("info", "distance", "power", "complete", "balance", "compatible", "spectrum")
+    for name in (*commands, "lift", "project", "verify", "generate"):
+        assert name in proc.stdout, name
+    proc = sgpower("power", "--mode", "x", "data/c7neg.sg")
+    assert (proc.returncode, proc.stdout) == (2, "") and len(proc.stderr.splitlines()) == 1
 
 
 # -- the exit-code contract under fuzzing ------------------------------------------------

@@ -38,7 +38,7 @@ from sgpower import (
 )
 from sgpower import core, distance
 from sgpower.distance import _Table, _reach_table, build_tables
-from sgpower.oracle import enumerate_shortest_paths
+from sgpower.oracle import CorpusSpec, enumerate_shortest_paths, generate
 
 import reach_reference
 from conftest import (
@@ -397,6 +397,52 @@ def test_build_facts_match_the_per_source_reference(budget, g):
         close = [(u, v) for u, v in bad if table[u][v].distance <= n]
         assert is_power_unique(g, n) == (not close)
         assert first_incompatible_pair_within(g, n) == min(close, default=None)
+
+
+def _row_major_first(mask, dist, n=None):
+    """Whole-table reference: the first (u, v) in row-major order whose
+    mask says both signs (and whose distance is <= n), or None."""
+    bad = mask == distance._BOTH
+    if n is not None:
+        bad &= dist <= n
+    hits = np.argwhere(bad)
+    return tuple(int(x) for x in hits[0]) if len(hits) else None
+
+
+@pytest.mark.parametrize(
+    "v, hits",
+    [
+        (6, [(0, 3), (4, 1)]),  # in the first block, and at n = 3 only in the second
+        (6, [(5, 2), (5, 4)]),  # only in the last row
+        (6, []),  # none
+        (10, [(7, 8), (9, 0)]),  # V not a multiple of the block's 3 rows: a last block of 1
+    ],
+)
+def test_the_first_incompatible_pair_scan_reads_blocks_of_rows_in_row_major_order(monkeypatch, v, hits):
+    monkeypatch.setattr(distance, "_RUN_BUDGET", 3 * v)  # three rows a block
+    rng = np.random.default_rng(v + len(hits))
+    mask = rng.choice(np.array([distance._POS, distance._NEG], np.uint8), (v, v))
+    dist = rng.integers(1, 5, (v, v)).astype(np.int16)
+    for i, (u, w) in enumerate(hits):
+        mask[u, w], dist[u, w] = distance._BOTH, 4 - i  # a smaller n leaves only the later hits
+    table = _Table(dist, mask, 4, None, True)
+    for n in (None, 1, 2, 3, 4):
+        assert distance._first_both(table, n) == _row_major_first(mask, dist, n)
+
+
+@pytest.mark.parametrize("budget", (1, 7, distance._RUN_BUDGET))
+def test_the_first_incompatible_pair_scan_reads_tables_built_in_a_batch(monkeypatch, budget):
+    graphs = list(generate(CorpusSpec(5, (4, 12), 0.3, frozenset(), 12)))
+    build_tables(graphs)
+    tables = [_reach_table(g) for g in graphs]
+    assert not all(t.mask.flags.c_contiguous for t in tables)  # views into the batch's table
+    assert not all(is_compatible(g) for g in graphs)
+    monkeypatch.setattr(distance, "_RUN_BUDGET", budget)
+    for g, t in zip(graphs, tables):
+        mask, dist = np.ascontiguousarray(t.mask), np.ascontiguousarray(t.dist)
+        assert first_incompatible_pair(g) == _row_major_first(mask, dist)
+        for n in range(1, t.diameter + 1):
+            assert first_incompatible_pair_within(g, n) == _row_major_first(mask, dist, n)
 
 
 @pytest.mark.parametrize("budget", (1, 2, 5, distance._RUN_BUDGET))
