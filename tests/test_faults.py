@@ -5,8 +5,13 @@ Each row breaks one part of the library with a monkeypatch and names the
 reference run (`--trials 200 --seed 42`).  `l3` fails on that run without
 any fault, so no row names it.  A key that passes every trial under a
 fault does not check what that fault breaks.
+
+Each row also pins what its keys report under the fault: a sha256 over
+each named key's pass count, sorted notes and (trial, failure line)
+pairs, so a reworded failure line shows here as well as a changed count.
 """
 
+import hashlib
 import importlib
 
 import numpy as np
@@ -127,9 +132,33 @@ FAULTS = {
 }
 
 
+# fault -> sha256 of its keys' reports, in the row's key order
+DIGESTS = {
+    "corpus_ignores_compatible": "82363f51b5ccc8ceebe884a20bf22e24c7a9424ea90f7797109475a5613f726b",
+    "diameter_one_too_low": "80b3b0dee4f44ffe46d86eba9834d4fd218442ed039fb92a67b65b4100d20999",
+    "every_graph_balanced": "a8b210a7a6de6123e66473268a0e099e32efcc3ef5f8380fe298ddd09054f39a",
+    "flipped_completion": "3ab0557eb5ff1b019efeef834112e96f90ecdab7ecdbbc01c6ec4acd98abe91e",
+    "max_power_by_sigma_min": "282af695bad16398e8c697d3b81040b537b890c5cf733adf409a245043c63229",
+    "positive_cover": "71c69122e50ebbafd1fcbfb627ff958babb165a82c83af5a4a3dcf906e110ad4",
+    "single_signed_oracle": "7fab1542283bf8a487e7f853f697605ccf064a2ecf86104ccf8c61103c0e9abf",
+    "spectral_test_ignores_signs": "09f10393c1938ec06325db63dc214faf6def46faf8296dd4452893e009c6282b",
+    "unique_at_d0": "e68ea7e73783207c09f32aa42c0005d4eb4641e63bb0a3de6d65d0600eb04709",
+}
+
+
+def _digest(reports):
+    rows = [
+        (r.name, r.passed, sorted(r.notes.items()), [(c.trial, c.description) for c in r.failures])
+        for r in reports
+    ]
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
 @pytest.mark.parametrize("fault", sorted(FAULTS))
 def test_verify_catches_the_fault(monkeypatch, fault):
     inject, keys = FAULTS[fault]
     inject(monkeypatch)
-    for key in keys:
-        assert run_theorem(key, _TRIALS, _SEED).passed < _TRIALS, key
+    reports = [run_theorem(key, _TRIALS, _SEED) for key in keys]
+    for key, report in zip(keys, reports):
+        assert report.passed < _TRIALS, key
+    assert _digest(reports) == DIGESTS[fault]

@@ -14,11 +14,13 @@ import pytest
 from sgpower import (
     GenerationExhaustedError,
     MissingWitnessError,
+    SignedGraph,
     associated_complete,
     balanced_spectrum_test,
     distance,
     harness,
     is_balanced,
+    is_two_connected,
     oracle,
     power,
     spectra,
@@ -27,6 +29,8 @@ from sgpower.cli import main
 from sgpower.harness import THEOREM_ORDER, run_theorem
 
 from conftest import all_negative_cycle, c4_one_negative, complete_graph, cycle_graph, path_graph
+
+power_module = importlib.import_module("sgpower.power")
 
 
 def _snapshot(report):
@@ -85,6 +89,40 @@ def test_t27_on_a_complete_graph_is_vacuous():
     notes = {}
     assert harness._check_t27(complete_graph(4), 0, notes) is None
     assert notes == {"vacuous": 1}
+
+
+def test_the_corpora_carry_the_hypotheses_of_blcm_and_cbp():
+    # the checks take these from their corpora and test neither
+    for seed in range(10):
+        for g in harness._corpus_graphs("blcm", 25, seed, 8):
+            assert is_two_connected(g) and is_balanced(g).balanced
+        for g in harness._corpus_graphs("cbp", 25, seed, 8):
+            assert is_two_connected(g)
+
+
+def test_blcm_reports_a_balanced_graph_whose_square_is_not_unique(monkeypatch):
+    # a fault in the library, not in the check: every square reads non-unique
+    unique = power_module.is_power_unique
+    monkeypatch.setattr(power_module, "is_power_unique", lambda g, n: n != 2 and unique(g, n))
+    report = run_theorem("blcm", 20, 5)
+    assert report.passed == 4  # the complete graphs, whose diameter is 1
+    assert [c.trial for c in report.failures] == [0, 1, 2, 5, 6, 7, 8, 9, 11, 12, 13, 14, 16, 17, 18, 19]
+    for case in report.failures:
+        assert case.description == "n=2: {'n': 2, 'reason': 'power of a balanced graph not unique'}"
+
+
+def test_blcm_reports_the_first_incompatible_pair_of_a_power(monkeypatch):
+    # a fault in the library, not in the check: a power flips every pair it adds,
+    # and so can have shortest paths of both signs between one pair
+    build = power_module._table_graph
+
+    def flipped(g, n, sigma):
+        out = build(g, n, sigma)
+        return SignedGraph(g.vertex_count, [(u, v, s if g.has_edge(u, v) else -s) for u, v, s in out.edges])
+
+    monkeypatch.setattr(power_module, "_table_graph", flipped)
+    report = run_theorem("blcm", 20, 5)
+    assert [(c.trial, c.description) for c in report.failures] == [(16, "n=2: {'n': 2, 'pair': (3, 5)}")]
 
 
 def test_notes_count_skipped_trials():
