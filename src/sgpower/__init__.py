@@ -9,10 +9,7 @@ from .core import (
     MissingWitnessError,
     NonUniquePowerError,
     NotAPathError,
-    NotBalancedError,
     NotCompatibleError,
-    NotTwoConnectedError,
-    PreconditionViolatedError,
     SignedGraph,
     SignedGraphError,
     VertexOutOfRangeError,
@@ -41,17 +38,7 @@ from .power import (
     is_power_unique,
     power,
 )
-from .balance import (
-    BalanceReport,
-    CheckOutcome,
-    is_balanced,
-    lift_path,
-    project_path,
-    verify_balanced_implies_power_compatible,
-    verify_nbc,
-    verify_power_balance,
-    verify_power_compat_implies_compat,
-)
+from .balance import BalanceReport, is_balanced, lift_path, project_path
 from .spectra import (
     NoConvergenceError,
     NotSymmetricError,
@@ -64,7 +51,6 @@ from .oracle import (
     CorpusSpec,
     GenerationExhaustedError,
     TooManyPathsError,
-    count_shortest_paths,
     enumerate_shortest_paths,
     generate,
     oracle_signs,

@@ -14,31 +14,25 @@ cutting it into blocks of n edges; `project_path` moves a path of the
 power back down by concatenating the recorded witness paths of its
 edges, which in general yields a walk.  For shortest paths these two
 constructions preserve signs and have tightly bounded lengths; the
-verify_* checks and the randomized harness exercise exactly those
-statements.
+randomized harness exercises exactly those statements.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .core import (
     DisconnectedError,
+    MissingWitnessError,
     NonUniquePowerError,
     NotAPathError,
-    NotBalancedError,
-    MissingWitnessError,
-    NotTwoConnectedError,
-    PreconditionViolatedError,
     SignedGraph,
     _exponent,
     bfs,
-    is_two_connected,
     path_sign,
 )
-from .distance import diameter, first_incompatible_pair, is_compatible
-from .power import Witnesses, associated_complete, is_power_unique, power
+from .power import Witnesses, is_power_unique
 
 
 @dataclass(frozen=True)
@@ -46,17 +40,6 @@ class BalanceReport:
     balanced: bool
     witness: tuple[int, ...] | None = None  # closed negative cycle, first == last
     switching_labels: tuple[int, ...] | None = None
-
-
-@dataclass(frozen=True)
-class CheckOutcome:
-    """Boolean verdict of a theorem check plus failure diagnostics."""
-
-    ok: bool
-    detail: dict = field(default_factory=dict)
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def is_balanced(g: SignedGraph) -> BalanceReport:
@@ -138,77 +121,3 @@ def project_path(witnesses: Witnesses, p: Sequence[int]) -> tuple[int, ...]:
         seg = w if w[0] == a else w[::-1]
         walk.extend(seg[1:])
     return tuple(walk)
-
-
-# ---------------------------------------------------------------------------
-# theorem checks
-# ---------------------------------------------------------------------------
-
-
-def verify_nbc(g: SignedGraph) -> CheckOutcome:
-    """Equivalence of four balance statements on a connected graph:
-    g balanced; its max completion balanced; its min completion
-    balanced; the signed distance matrices agree and the common
-    completion is balanced.
-
-    Statement 4 reads "the matrices agree" as compatibility: D_max and
-    D_min share one distance table, so they differ exactly at the pairs
-    with shortest paths of both signs.
-    """
-    s1 = is_balanced(g).balanced
-    s2 = is_balanced(associated_complete(g, "max")).balanced
-    s3 = is_balanced(associated_complete(g, "min")).balanced
-    s4 = is_compatible(g) and is_balanced(associated_complete(g, "pm")).balanced
-    statements = (s1, s2, s3, s4)
-    ok = len(set(statements)) == 1
-    detail = {} if ok else {"statements": statements}
-    return CheckOutcome(ok, detail)
-
-
-def verify_power_balance(g: SignedGraph, n: int) -> CheckOutcome:
-    """On a 2-connected graph: g balanced iff its n-th power is.
-
-    When the power is not unique (possible only with g unbalanced, or
-    the check fails), both sign choices must be unbalanced; the outcome
-    records that the double check ran via detail["non_unique"].
-    """
-    if not is_two_connected(g):
-        raise NotTwoConnectedError("the power balance equivalence needs a 2-connected graph")
-    base = is_balanced(g).balanced
-    pr = power(g, n)  # raises BadExponentError for a bad exponent
-    # non-unique power: balance would force uniqueness, so base must be
-    # unbalanced and so must both powers
-    powers = (pr.power_max,) if pr.unique else (pr.power_max, pr.power_min)
-    ok = (pr.unique or not base) and all(is_balanced(h).balanced == base for h in powers)
-    detail: dict = {} if pr.unique else {"non_unique": True}
-    if not ok:
-        detail.update({"n": n, "balanced": base})
-    return CheckOutcome(ok, detail)
-
-
-def verify_balanced_implies_power_compatible(g: SignedGraph, n: int) -> CheckOutcome:
-    """On a balanced 2-connected graph the n-th power is compatible."""
-    if not is_two_connected(g):
-        raise NotTwoConnectedError("this check needs a 2-connected graph")
-    pr = power(g, n)  # raises BadExponentError for a bad exponent
-    if not is_balanced(g).balanced:
-        raise NotBalancedError("this check needs a balanced graph")
-    if not pr.unique:
-        return CheckOutcome(False, {"n": n, "reason": "power of a balanced graph not unique"})
-    bad = first_incompatible_pair(pr.power_max)
-    ok = bad is None
-    return CheckOutcome(ok, {} if ok else {"n": n, "pair": bad})
-
-
-def verify_power_compat_implies_compat(g: SignedGraph, n: int) -> CheckOutcome:
-    """With diameter(g) > n and a unique n-th power: a compatible power
-    forces a compatible base graph."""
-    pr = power(g, n)  # raises BadExponentError, then DisconnectedError
-    if diameter(g) <= n:
-        raise PreconditionViolatedError(f"diameter must exceed n = {n}")
-    if not pr.unique:
-        raise PreconditionViolatedError(f"the {n}-th power is not unique")
-    if not is_compatible(pr.power_max):
-        return CheckOutcome(True, {"n": n, "vacuous": True})
-    ok = is_compatible(g)
-    return CheckOutcome(ok, {} if ok else {"n": n, "pair": first_incompatible_pair(g)})

@@ -72,18 +72,6 @@ class MissingWitnessError(SignedGraphError):
     """No recorded underlying path for an edge of a power graph."""
 
 
-class NotTwoConnectedError(SignedGraphError):
-    """The operation needs a 2-connected graph."""
-
-
-class NotBalancedError(SignedGraphError):
-    """The operation needs a balanced graph."""
-
-
-class PreconditionViolatedError(SignedGraphError):
-    """A check was invoked outside its stated hypotheses."""
-
-
 def error_line(exc: Exception) -> str:
     """The error as one line: its class name less "Error", then its message."""
     return f"{type(exc).__name__.removesuffix('Error')}: {exc}"

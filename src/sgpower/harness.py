@@ -36,19 +36,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .balance import (
-    is_balanced,
-    lift_path,
-    project_path,
-    verify_balanced_implies_power_compatible,
-    verify_nbc,
-    verify_power_balance,
-    verify_power_compat_implies_compat,
-)
+from .balance import is_balanced, lift_path, project_path
 from .core import (
     SignedGraph, SignedGraphError, error_line, is_two_connected, path_sign, walk_sign,
 )
-from .distance import _batches, build_tables, diameter, distance_matrices, is_compatible
+from .distance import (
+    _batches, build_tables, diameter, distance_matrices, first_incompatible_pair, is_compatible,
+)
 from .oracle import CorpusSpec, enumerate_shortest_paths, generate, oracle_reachability
 from .power import associated_complete, is_power_unique, power
 from .spectra import balanced_spectrum_test
@@ -169,12 +163,13 @@ def _check_le(g: SignedGraph, seed: int, notes: dict[str, int]) -> str | None:
 
 
 def _check_t27(g: SignedGraph, seed: int, notes: dict[str, int]) -> str | None:
+    # t27's corpus draws connected graphs; the loop takes only n < diameter with a unique power
     applicable = False
     for n in range(1, diameter(g)):
         if not is_power_unique(g, n):
             continue
         applicable = True
-        if not verify_power_compat_implies_compat(g, n):
+        if not is_compatible(g) and is_compatible(power(g, n).power_max):
             return f"n={n}: compatible power but incompatible base"
     if not applicable:
         _note(notes, "vacuous")
@@ -182,10 +177,14 @@ def _check_t27(g: SignedGraph, seed: int, notes: dict[str, int]) -> str | None:
 
 
 def _check_blcm(g: SignedGraph, seed: int, notes: dict[str, int]) -> str | None:
+    # blcm's corpus draws balanced 2-connected graphs only
     for n in range(1, diameter(g) + 1):
-        out = verify_balanced_implies_power_compatible(g, n)
-        if not out:
-            return f"n={n}: {out.detail}"
+        pr = power(g, n)
+        if not pr.unique:
+            return f"n={n}: { {'n': n, 'reason': 'power of a balanced graph not unique'} }"
+        bad = first_incompatible_pair(pr.power_max)
+        if bad is not None:
+            return f"n={n}: { {'n': n, 'pair': bad} }"
     return None
 
 
@@ -206,12 +205,18 @@ def _check_l3(g: SignedGraph, seed: int, notes: dict[str, int]) -> str | None:
 
 
 def _check_cbp(g: SignedGraph, seed: int, notes: dict[str, int]) -> str | None:
+    # cbp's corpora draw 2-connected graphs only
+    base = is_balanced(g).balanced
     for n in range(1, diameter(g) + 1):
-        out = verify_power_balance(g, n)
-        if out.detail.get("non_unique"):
+        pr = power(g, n)
+        # balance forces a unique power, so a non-unique one needs an unbalanced
+        # base, and then both sign choices must be unbalanced too
+        powers = (pr.power_max,) if pr.unique else (pr.power_max, pr.power_min)
+        if not pr.unique:
             _note(notes, "non_unique")
-        if not out:
-            return f"n={n}: balance equivalence failed ({out.detail})"
+        if not ((pr.unique or not base) and all(is_balanced(h).balanced == base for h in powers)):
+            detail = ({} if pr.unique else {"non_unique": True}) | {"n": n, "balanced": base}
+            return f"n={n}: balance equivalence failed ({detail})"
     return None
 
 
@@ -227,9 +232,17 @@ def _check_sgs(g: SignedGraph, seed: int, notes: dict[str, int]) -> str | None:
 
 
 def _check_nbc(g: SignedGraph, seed: int, notes: dict[str, int]) -> str | None:
-    out = verify_nbc(g)
-    if not out:
-        return f"statement values {out.detail.get('statements')}"
+    # nbc's corpus draws connected graphs, whose max and min completions exist.
+    # Statement 4 reads "the matrices agree" as compatibility: D_max and D_min share one
+    # distance table, so they differ exactly at the pairs with shortest paths of both signs
+    statements = (
+        is_balanced(g).balanced,
+        is_balanced(associated_complete(g, "max")).balanced,
+        is_balanced(associated_complete(g, "min")).balanced,
+        is_compatible(g) and is_balanced(associated_complete(g, "pm")).balanced,
+    )
+    if len(set(statements)) > 1:
+        return f"statement values {statements}"
     return None
 
 

@@ -127,19 +127,6 @@ def oracle_reachability(g: SignedGraph, source: int) -> list[Reach]:
     return [Reach(d, PathSigns(*signs)) for d, signs in zip(dist, seen)]
 
 
-def count_shortest_paths(g: SignedGraph, u: int, v: int) -> int:
-    """Number of shortest u-v paths by DP over the BFS DAG (no enumeration)."""
-    g._check_vertex(v)
-    order, du, _ = bfs(g, u)
-    if du[v] < 0:
-        raise DisconnectedError(f"vertex {v} unreachable from {u}")
-    count = [0] * g.vertex_count
-    count[u] = 1
-    for x in order[1:]:  # by distance from u, so each x comes after its predecessors
-        count[x] = sum(count[w] for w, _ in g.neighbors(x) if du[w] == du[x] - 1)
-    return count[v]
-
-
 @dataclass(frozen=True)
 class CorpusSpec:
     """Parameters of a reproducible random graph corpus.

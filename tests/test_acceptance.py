@@ -35,11 +35,9 @@ from sgpower import (
     serialize_graph,
     shortest_path_with_sign,
     sign_reachability,
-    verify_balanced_implies_power_compatible,
-    verify_nbc,
-    verify_power_balance,
     walk_sign,
 )
+from sgpower import harness
 from sgpower.cli import main as cli_main
 from sgpower.oracle import enumerate_shortest_paths
 
@@ -217,11 +215,11 @@ def test_criterion_06_two_connected_balance_checks(corpus_two_connected_300):
     and base balance is equivalent to power balance, for every
     n in [1, diameter] (exact)."""
     for g in corpus_two_connected_300:
-        balanced = is_balanced(g).balanced
-        for n in range(1, diameter(g) + 1):
-            assert verify_power_balance(g, n)
-            if balanced:
-                assert verify_balanced_implies_power_compatible(g, n)
+        out = harness._check_cbp(g, 0, {})  # every n in [1, diameter]
+        assert out is None, out
+        if is_balanced(g).balanced:
+            out = harness._check_blcm(g, 0, {})
+            assert out is None, out
 
 
 def test_criterion_07_completion_commutes_with_powers(corpus_two_connected_300):
@@ -289,8 +287,8 @@ def test_criterion_09_four_way_balance_equivalence(
     <=> matrices agree and common completion balanced, on every corpus
     graph (exact)."""
     for g in corpus_connected_10 + corpus_two_connected_300 + corpus_compatible_200:
-        out = verify_nbc(g)
-        assert out, out.detail
+        out = harness._check_nbc(g, 0, {})
+        assert out is None, out
 
 
 def test_criterion_10_verify_output_is_deterministic(tmp_path):

@@ -1,4 +1,5 @@
-"""Balance certificates, path lifting/projection, and the verify_* checks.
+"""Balance certificates, path lifting/projection, and the harness checks
+of the balance theorems (`t27`, `blcm`, `cbp`, `nbc`).
 
 Two pinned examples document why the length/sign statements for lifted
 and projected paths hypothesize *shortest* paths: a non-shortest path
@@ -18,25 +19,18 @@ from sgpower import (
     MissingWitnessError,
     NonUniquePowerError,
     NotAPathError,
-    NotBalancedError,
-    NotTwoConnectedError,
-    PreconditionViolatedError,
     SignedGraph,
-    diameter,
     is_balanced,
     is_compatible,
+    is_two_connected,
     lift_path,
     path_sign,
     power,
     project_path,
     switch,
-    verify_balanced_implies_power_compatible,
-    verify_nbc,
-    verify_power_balance,
-    verify_power_compat_implies_compat,
     walk_sign,
 )
-from sgpower import balance, core
+from sgpower import balance, core, harness
 from sgpower.balance import BalanceReport
 from sgpower.oracle import enumerate_shortest_paths
 
@@ -213,47 +207,33 @@ def test_projecting_a_non_shortest_power_path_breaks_the_length_bound():
     assert len(w) - 1 == 2 < 3
 
 
-# -- the four-way balance equivalence -------------------------------------------
+# -- the four-way balance equivalence (nbc) -------------------------------------
 
 
 @given(connected_signed_graphs())
 @settings(max_examples=100)
 def test_balance_equivalence_of_completions(g):
-    assert verify_nbc(g)
+    assert harness._check_nbc(g, 0, {}) is None
 
 
 def test_balance_equivalence_concrete():
-    assert verify_nbc(switch(complete_graph(5), [1, 2]))
-    assert verify_nbc(all_negative_cycle(6))
-    out = verify_nbc(all_negative_cycle(5))
-    assert out and out.detail == {}
+    for g in (switch(complete_graph(5), [1, 2]), all_negative_cycle(6), all_negative_cycle(5)):
+        assert harness._check_nbc(g, 0, {}) is None
 
 
-# -- base balanced iff power balanced -------------------------------------------
+# -- base balanced iff power balanced (cbp) ----------------------------------------
 
 
-def test_power_balance_needs_two_connected():
-    with pytest.raises(NotTwoConnectedError):
-        verify_power_balance(path_graph([1, 1]), 1)
-
-
-def test_power_balance_rejects_exponents_below_one():
-    with pytest.raises(BadExponentError, match=r"^power exponent must be >= 1, got 0$"):
-        verify_power_balance(cycle_graph([1, -1, 1]), 0)
-
-
-@given(st.integers(1, 4))
-def test_power_balance_on_switched_cycles(n):
-    g = switch(cycle_graph([1] * 7), [2, 5])
-    out = verify_power_balance(g, n)
-    assert out and "non_unique" not in out.detail
+def test_power_balance_on_switched_cycles():
+    notes = {}
+    assert harness._check_cbp(switch(cycle_graph([1] * 7), [2, 5]), 0, notes) is None
+    assert notes == {}  # every power of a balanced graph is unique
 
 
 def test_power_balance_with_non_unique_power():
-    g = c4_one_negative()
-    out = verify_power_balance(g, 2)
-    assert out
-    assert out.detail == {"non_unique": True}
+    notes = {}
+    assert harness._check_cbp(c4_one_negative(), 0, notes) is None
+    assert notes == {"non_unique": 1}  # the square; the first power is g
 
 
 @pytest.mark.parametrize(
@@ -266,90 +246,54 @@ def test_power_balance_with_non_unique_power():
 def test_power_balance_failure_detail(monkeypatch, g, detail):
     # is_balanced lies about every graph but g, so the square looks wrong; the
     # detail, in this key order, reaches the verify bundle's manifest
-    honest = balance.is_balanced
+    honest = harness.is_balanced
 
     def lying(h):
         return honest(h) if h is g else BalanceReport(not honest(h).balanced)
 
-    monkeypatch.setattr(balance, "is_balanced", lying)
-    out = verify_power_balance(g, 2)
-    assert not out and list(out.detail.items()) == detail
+    monkeypatch.setattr(harness, "is_balanced", lying)
+    assert harness._check_cbp(g, 0, {}) == f"n=2: balance equivalence failed ({dict(detail)})"
 
 
-@given(connected_signed_graphs(min_vertices=3), st.integers(1, 3))
+@given(connected_signed_graphs(min_vertices=3))
 @settings(max_examples=80)
-def test_power_balance_property(g, n):
-    from sgpower import is_two_connected
-
-    if not is_two_connected(g):
-        return
-    assert verify_power_balance(g, n)
+def test_power_balance_property(g):
+    if is_two_connected(g):
+        assert harness._check_cbp(g, 0, {}) is None
 
 
-@pytest.mark.parametrize("check", [verify_power_balance, verify_balanced_implies_power_compatible])
-def test_balance_and_two_connectivity_are_answered_once_per_graph(monkeypatch, check):
+@pytest.mark.parametrize("key, want", [("cbp", ["balance"]), ("blcm", [])])
+def test_balance_and_two_connectivity_are_answered_once_per_graph(monkeypatch, key, want):
+    # the corpus vouches for 2-connectivity (and, for blcm, balance): no check asks again
     g = switch(cycle_graph([1] * 6), [1, 4])
     asked = []
     report, two = balance._balance_report, core._is_two_connected
     monkeypatch.setattr(balance, "_balance_report", lambda h: asked.append(("balance", h)) or report(h))
     monkeypatch.setattr(core, "_is_two_connected", lambda h: asked.append(("2c", h)) or two(h))
-    for n in range(1, diameter(g) + 1):
-        assert check(g, n)
-    assert [what for what, h in asked if h is g] == ["2c", "balance"]
+    assert harness._CHECKS[key](g, 0, {}) is None
+    assert [what for what, h in asked if h is g] == want
     assert is_balanced(g) is is_balanced(g)
 
 
-# -- balanced base gives compatible powers ---------------------------------------
-
-
-def test_balanced_implies_power_compatible_preconditions():
-    with pytest.raises(NotTwoConnectedError):
-        verify_balanced_implies_power_compatible(path_graph([1, 1]), 1)
-    with pytest.raises(NotBalancedError):
-        verify_balanced_implies_power_compatible(all_negative_cycle(5), 1)
-    # precedence: 2-connectivity, then the exponent, then balance
-    with pytest.raises(NotTwoConnectedError):
-        verify_balanced_implies_power_compatible(path_graph([1, 1]), 0)
-    with pytest.raises(BadExponentError):
-        verify_balanced_implies_power_compatible(all_negative_cycle(5), 0)
+# -- balanced base gives compatible powers (blcm) ----------------------------------
 
 
 @given(st.sets(st.integers(0, 7)), st.integers(1, 4))
 @settings(max_examples=60)
 def test_balanced_implies_power_compatible_on_switched_cycles(vertices, n):
     g = switch(cycle_graph([1] * 8), vertices)
-    out = verify_balanced_implies_power_compatible(g, n)
-    assert out and is_compatible(power(g, n).power_max)
+    assert harness._check_blcm(g, 0, {}) is None
+    assert is_compatible(power(g, n).power_max)
 
 
-# -- compatible power forces compatible base --------------------------------------
-
-
-def test_compat_transfer_preconditions():
-    g = path_graph([1, 1, 1])  # diameter 3
-    with pytest.raises(PreconditionViolatedError):
-        verify_power_compat_implies_compat(g, 3)  # diameter not exceeded
-    # one-negative 4-cycle with a tail: diameter 4 but the square is not unique
-    tailed = SignedGraph(
-        6, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, -1), (2, 4, 1), (4, 5, 1)]
-    )
-    assert diameter(tailed) == 4
-    with pytest.raises(PreconditionViolatedError):
-        verify_power_compat_implies_compat(tailed, 2)
-    with pytest.raises(BadExponentError):
-        verify_power_compat_implies_compat(g, 0)
-    # precedence: the exponent, then connectivity, then the diameter
-    split = SignedGraph(3, [(0, 1, 1)])
-    with pytest.raises(BadExponentError):
-        verify_power_compat_implies_compat(split, 0)
-    with pytest.raises(DisconnectedError):
-        verify_power_compat_implies_compat(split, 1)
+# -- compatible power forces compatible base (t27) ---------------------------------
 
 
 def test_compat_transfer_applicable_and_vacuous_cases():
-    # all-positive 7-cycle: square compatible, base compatible
-    out = verify_power_compat_implies_compat(cycle_graph([1] * 7), 2)
-    assert out and out.detail == {}
-    # all-negative 7-cycle: square incompatible, claim holds vacuously
-    out = verify_power_compat_implies_compat(all_negative_cycle(7), 2)
-    assert out and out.detail.get("vacuous")
+    # all-positive 7-cycle: square compatible, base compatible; all-negative
+    # 7-cycle: square incompatible, so the claim holds vacuously at n = 2
+    for g in (cycle_graph([1] * 7), all_negative_cycle(7)):
+        notes = {}
+        assert harness._check_t27(g, 0, notes) is None
+        assert notes == {}  # n = 1 lies below the diameter, 3, and is unique
+    assert not is_compatible(power(all_negative_cycle(7), 2).power_max)

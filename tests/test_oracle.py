@@ -17,7 +17,6 @@ from sgpower import (
     SignedGraph,
     TooManyPathsError,
     VertexOutOfRangeError,
-    count_shortest_paths,
     enumerate_shortest_paths,
     generate,
     is_balanced,
@@ -38,6 +37,19 @@ from conftest import (
     connected_signed_graphs,
     cycle_graph,
 )
+
+
+def count_shortest_paths(g: SignedGraph, u: int, v: int) -> int:
+    """Number of shortest u-v paths by DP over the BFS DAG (no enumeration)."""
+    g._check_vertex(v)
+    order, du, _ = core.bfs(g, u)
+    if du[v] < 0:
+        raise DisconnectedError(f"vertex {v} unreachable from {u}")
+    count = [0] * g.vertex_count
+    count[u] = 1
+    for x in order[1:]:  # by distance from u, so each x comes after its predecessors
+        count[x] = sum(count[w] for w, _ in g.neighbors(x) if du[w] == du[x] - 1)
+    return count[v]
 
 
 # -- enumeration -----------------------------------------------------------------
