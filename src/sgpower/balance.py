@@ -64,20 +64,19 @@ def _balance_report(g: SignedGraph) -> BalanceReport:
         label[y] = label[parent[y]] * g.sign(parent[y], y)
     for u, v, s in g.edges:
         if label[u] * label[v] != s:
-            return BalanceReport(balanced=False, witness=_tree_cycle(parent, u, v))
+            return BalanceReport(balanced=False, witness=_tree_cycle(parent, depth, u, v))
     return BalanceReport(balanced=True, switching_labels=tuple(label))
 
 
-def _tree_cycle(parent: list[int], u: int, v: int) -> tuple[int, ...]:
+def _tree_cycle(parent: list[int], depth: list[int], u: int, v: int) -> tuple[int, ...]:
     """Closed cycle made of the tree path u..v plus the edge vu."""
-    up_u = [u]  # u and its ancestors up to the root (parent -1)
-    while parent[up_u[-1]] >= 0:
-        up_u.append(parent[up_u[-1]])
-    at = {x: i for i, x in enumerate(up_u)}
-    up_v = [v]  # v up to the first vertex it shares with up_u
-    while up_v[-1] not in at:
-        up_v.append(parent[up_v[-1]])
-    return tuple(up_u[: at[up_v[-1]] + 1] + up_v[-2::-1] + [u])
+    up_u, up_v = [u], [v]  # the deeper end climbs until the two meet
+    while up_u[-1] != up_v[-1]:
+        if depth[up_u[-1]] >= depth[up_v[-1]]:
+            up_u.append(parent[up_u[-1]])
+        else:
+            up_v.append(parent[up_v[-1]])
+    return tuple(up_u + up_v[-2::-1] + [u])
 
 
 def lift_path(g: SignedGraph, p: Sequence[int], n: int) -> tuple[int, ...]:

@@ -2,12 +2,13 @@
 
 Subcommands: info, distance, power, complete, balance, compatible,
 spectrum, lift, project, verify, generate.  Graphs travel as the plain
-text format of `fileio`.  `distance`, `power` and `complete` write
-straight from the sign table: `distance` looks up each cell's text in a
-table of labels, one gather and one write per block of rows.  Domain
-errors and unreadable files exit with status 1 and the error name on
-standard error; usage errors exit with status 2.  One parser, built
-once per process (about 4 ms), serves every `main` call.
+text format of `fileio`; every command but `verify` and `generate` takes
+a graph file last, which `main` reads.  `distance`, `power` and
+`complete` write straight from the sign table: `distance` looks up each
+cell's text in a table of labels, one gather and one write per block of
+rows.  Domain errors and unreadable files exit with status 1 and the
+error name on standard error; usage errors exit with status 2.  One
+parser, built once per process (about 4 ms), serves every `main` call.
 """
 
 from __future__ import annotations
@@ -54,10 +55,6 @@ from .spectra import DEFAULT_TOL, adjacency_matrix, eigenvalues
 from .harness import THEOREM_ORDER
 
 
-def _load(path: str) -> SignedGraph:
-    return parse_graph(Path(path).read_text())
-
-
 # -- argument types: a bad value is a usage error, never a traceback --------
 
 
@@ -98,8 +95,7 @@ def _yes(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-def _cmd_info(args) -> int:
-    g = _load(args.file)
+def _cmd_info(g: SignedGraph, args) -> int:
     # every answer first, so a failing one leaves stdout empty
     lines = [f"vertices {g.vertex_count}", f"edges {g.edge_count}"]
     connected = is_connected(g)
@@ -115,8 +111,7 @@ def _cmd_info(args) -> int:
     return 0
 
 
-def _cmd_distance(args) -> int:
-    g = _load(args.file)
+def _cmd_distance(g: SignedGraph, args) -> int:
     table = _reach_table(g)
     d = table.diameter  # entry d + k of `cells` is "k\t", of `ends` "k\n"
     cells, ends = (np.array([f"{k}{c}" for k in range(-d, d + 1)], dtype=object) for c in "\t\n")
@@ -141,8 +136,7 @@ def _write_pairs(g: SignedGraph, n: int, sigma: tuple[int, ...]) -> None:
     sys.stdout.write(serialize_edges(g.vertex_count, *_close_pairs(g, n, sigma)))
 
 
-def _cmd_power(args) -> int:
-    g = _load(args.file)
+def _cmd_power(g: SignedGraph, args) -> int:
     power(g, args.n)  # checks the exponent and connectivity
     pair = first_incompatible_pair_within(g, args.n) if args.mode == "unique" else None
     if pair is not None:
@@ -153,8 +147,7 @@ def _cmd_power(args) -> int:
     return 0
 
 
-def _cmd_complete(args) -> int:
-    g = _load(args.file)
+def _cmd_complete(g: SignedGraph, args) -> int:
     sigma = _completion_sigma(g, args.mode)
     if sigma is None:
         sys.stdout.write(serialize_graph(g))
@@ -163,8 +156,7 @@ def _cmd_complete(args) -> int:
     return 0
 
 
-def _cmd_balance(args) -> int:
-    g = _load(args.file)
+def _cmd_balance(g: SignedGraph, args) -> int:
     report = is_balanced(g)
     if report.balanced:
         print("balanced")
@@ -175,8 +167,7 @@ def _cmd_balance(args) -> int:
     return 0
 
 
-def _cmd_compatible(args) -> int:
-    g = _load(args.file)
+def _cmd_compatible(g: SignedGraph, args) -> int:
     pair = first_incompatible_pair(g)
     if pair is None:
         print("compatible")
@@ -190,8 +181,7 @@ def _cmd_compatible(args) -> int:
     return 0
 
 
-def _cmd_spectrum(args) -> int:
-    g = _load(args.file)
+def _cmd_spectrum(g: SignedGraph, args) -> int:
     target = associated_complete(g, "pm") if args.complete_pm else g
     spec = eigenvalues(adjacency_matrix(target), args.tol)
     for value, mult in spec.groups:
@@ -199,8 +189,7 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
-def _cmd_lift(args) -> int:
-    g = _load(args.file)
+def _cmd_lift(g: SignedGraph, args) -> int:
     lifted = lift_path(g, args.path, args.n)
     # a step (distance <= n) is + in the max power iff a shortest path is (mask bit 0)
     negative = np.count_nonzero(_reach_table(g).mask[lifted[:-1], lifted[1:]] & 1 == 0)
@@ -209,8 +198,7 @@ def _cmd_lift(args) -> int:
     return 0
 
 
-def _cmd_project(args) -> int:
-    g = _load(args.file)
+def _cmd_project(g: SignedGraph, args) -> int:
     pr = power(g, args.n)
     if not pr.unique:
         raise NonUniquePowerError(f"the {args.n}-th power of the graph is not unique")
@@ -281,43 +269,33 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    p = add("info", _cmd_info, help="summary of a graph file")
-    p.add_argument("file")
+    add("info", _cmd_info, help="summary of a graph file")
 
     p = add("distance", _cmd_distance, help="signed distance matrices")
     p.add_argument("--mode", choices=("max", "min", "both"), default="both")
-    p.add_argument("file")
 
     p = add("power", _cmd_power, help="n-th power of a signed graph")
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--mode", choices=("max", "min", "unique"), default="unique")
-    p.add_argument("file")
 
     p = add("complete", _cmd_complete, help="associated signed complete graph")
     p.add_argument("--mode", choices=("max", "min", "pm"), default="pm")
-    p.add_argument("file")
 
-    p = add("balance", _cmd_balance, help="balance test with certificate")
-    p.add_argument("file")
-
-    p = add("compatible", _cmd_compatible, help="shortest-path sign compatibility")
-    p.add_argument("file")
+    add("balance", _cmd_balance, help="balance test with certificate")
+    add("compatible", _cmd_compatible, help="shortest-path sign compatibility")
 
     p = add("spectrum", _cmd_spectrum, help="adjacency spectrum")
     p.add_argument("--complete-pm", action="store_true", help="spectrum of the common-sign completion")
     tol = _checked(float, lambda x: 0 < x < np.inf, "positive and finite")  # nan compares false
     p.add_argument("--tol", type=tol, default=DEFAULT_TOL)
-    p.add_argument("file")
 
     p = add("lift", _cmd_lift, help="lift a path into the n-th power")
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--path", type=_vertex_list, required=True, help="comma-separated vertices")
-    p.add_argument("file")
 
     p = add("project", _cmd_project, help="project a power path down via witnesses")
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--path", type=_vertex_list, required=True, help="comma-separated vertices")
-    p.add_argument("file")
 
     p = add("verify", _cmd_verify, help="randomized theorem checks")
     p.add_argument("--theorem", choices=THEOREM_ORDER + ("all",), default="all")
@@ -332,12 +310,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("generate", _cmd_generate, help="emit graphs from a corpus spec file")
     p.add_argument("spec")
 
+    for name, p in sub.choices.items():  # the graph file comes last, after a command's options
+        if name not in ("verify", "generate"):
+            p.add_argument("file")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if "file" in args:
+            return args.func(parse_graph(Path(args.file).read_text()), args)
         return args.func(args)
     except (SignedGraphError, OSError) as exc:
         print(error_line(exc), file=sys.stderr)

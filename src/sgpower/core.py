@@ -14,7 +14,7 @@ return new graphs.  A graph on a single vertex counts as connected.
 from __future__ import annotations
 
 import operator
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 
 class SignedGraphError(Exception):
@@ -241,39 +241,33 @@ def _is_two_connected(g: SignedGraph) -> bool:
     n = g.vertex_count
     if n < 3:
         return False
-    # iterative DFS low-point computation rooted at 0
-    disc = [-1] * n
-    low = [0] * n
-    parent = [-1] * n
-    timer = 0
-    root_children = 0
+    # Tarjan's low points in two passes.  A preorder DFS from 0 with an explicit stack:
+    # a vertex's parent is the last vertex that pushed it, which makes a DFS tree.
     rows = g._adjacency_rows()
-    stack: list[tuple[int, Iterator[tuple[int, int]]]] = [(0, iter(rows[0]))]
-    disc[0] = low[0] = timer
-    timer += 1
+    disc = [-1] * n
+    parent = [-1] * n
+    order: list[int] = []
+    stack = [0]
     while stack:
-        x, it = stack[-1]
-        advanced = False
-        for y, _ in it:
-            if disc[y] == -1:
-                parent[y] = x
-                if x == 0:
-                    root_children += 1
-                disc[y] = low[y] = timer
-                timer += 1
-                stack.append((y, iter(rows[y])))
-                advanced = True
-                break
-            elif y != parent[x]:
-                low[x] = min(low[x], disc[y])
-        if not advanced:
-            stack.pop()
-            if stack:
-                p = stack[-1][0]
-                low[p] = min(low[p], low[x])
-                if p != 0 and low[x] >= disc[p]:
-                    return False  # p is a cut vertex
-    return root_children < 2 and -1 not in disc  # disc[v] == -1: v not reached
+        x = stack.pop()
+        if disc[x] < 0:
+            disc[x] = len(order)
+            order.append(x)
+            for y, _ in rows[x]:
+                if disc[y] < 0:
+                    parent[y] = x
+                    stack.append(y)
+    # children before parents: low[x] is the least preorder index one edge out of
+    # x's subtree reaches (the edge to parent[x] included)
+    low = disc[:]
+    for x in reversed(order):
+        for y, _ in rows[x]:
+            up = low[y] if parent[y] == x else disc[y]
+            if up < low[x]:
+                low[x] = up
+        if parent[x] > 0 and low[x] >= disc[parent[x]]:
+            return False  # parent[x] is a cut vertex
+    return len(order) == n and parent.count(0) < 2  # all reached, root has one child
 
 
 def walk_sign(g: SignedGraph, walk: Sequence[int]) -> int:

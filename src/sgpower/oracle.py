@@ -50,13 +50,11 @@ _ROUNDS = 5  # a chunk's rounds; under 1 % of sgs's trials then still lack a gra
 REQUIREMENTS = ("balanced", "compatible", "connected", "two_connected")
 
 
-def enumerate_shortest_paths(
-    g: SignedGraph, u: int, v: int, max_paths: int = MAX_ORACLE_PATHS
-) -> list[tuple[int, ...]]:
+def enumerate_shortest_paths(g: SignedGraph, u: int, v: int) -> list[tuple[int, ...]]:
     """Every shortest u-v path, in lexicographic vertex order.
 
     Raises DisconnectedError when v is unreachable from u and
-    TooManyPathsError when more than `max_paths` paths exist.
+    TooManyPathsError when more than `MAX_ORACLE_PATHS` paths exist.
     """
     g._check_vertex(u)
     g._check_vertex(v)
@@ -74,8 +72,8 @@ def enumerate_shortest_paths(
         x = prefix[-1]
         nxt = None
         if x == v:
-            if len(paths) >= max_paths:
-                raise TooManyPathsError(f"more than {max_paths} shortest paths")
+            if len(paths) >= MAX_ORACLE_PATHS:
+                raise TooManyPathsError(f"more than {MAX_ORACLE_PATHS} shortest paths")
             paths.append(tuple(prefix))
         else:
             # stay on the shortest-path DAG and keep v reachable in budget
@@ -89,10 +87,10 @@ def enumerate_shortest_paths(
     return paths
 
 
-def oracle_signs(g: SignedGraph, u: int, v: int, max_paths: int = MAX_ORACLE_PATHS) -> PathSigns:
+def oracle_signs(g: SignedGraph, u: int, v: int) -> PathSigns:
     """Sign set of the shortest u-v paths, by exhaustive enumeration."""
     has_pos = has_neg = False
-    for path in enumerate_shortest_paths(g, u, v, max_paths):
+    for path in enumerate_shortest_paths(g, u, v):
         sign = 1
         for a, b in zip(path, path[1:]):
             sign *= g.sign(a, b)

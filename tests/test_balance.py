@@ -7,6 +7,7 @@ can change sign under lifting and break the length lower bound under
 projection.
 """
 
+import hashlib
 import math
 
 import pytest
@@ -32,7 +33,7 @@ from sgpower import (
 )
 from sgpower import balance, core, harness
 from sgpower.balance import BalanceReport
-from sgpower.oracle import enumerate_shortest_paths
+from sgpower.oracle import CorpusSpec, enumerate_shortest_paths, generate
 
 from conftest import (
     all_negative_cycle,
@@ -86,6 +87,16 @@ def test_negative_cycle_witness_is_the_cycle():
     report = is_balanced(g)
     assert not report.balanced
     assert sorted(set(report.witness)) == [0, 1, 2, 3, 4]
+
+
+def test_certificates_on_seeded_corpora_are_pinned():
+    # labels, negative cycles and 2-connectivity of 1,200 graphs of 3-120 vertices
+    digest = hashlib.sha256()
+    for seed, lo, hi, p in ((1, 3, 9, 0.3), (2, 10, 40, 0.15), (3, 40, 120, 0.05)):
+        for g in generate(CorpusSpec(seed, (lo, hi), p, frozenset(), 400)):
+            r = is_balanced(g)
+            digest.update(repr((r.balanced, r.witness, r.switching_labels, is_two_connected(g))).encode())
+    assert digest.hexdigest() == "92a0755681695333668fbc4c82c940d7f61a8251befdf82d9bd4642d9658a66c"
 
 
 # -- lifting -------------------------------------------------------------------

@@ -611,6 +611,29 @@ def test_usage_errors_exit_two(capsys):
     assert e.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "command, required",
+    [
+        ("info", "file"),
+        ("distance", "file"),
+        ("power", "-n, file"),
+        ("complete", "file"),
+        ("balance", "file"),
+        ("compatible", "file"),
+        ("spectrum", "file"),
+        ("lift", "-n, --path, file"),
+        ("project", "-n, --path, file"),
+    ],
+)
+def test_graph_commands_take_the_file_last(command, required):
+    code, out, err = run_captured([command])
+    assert (code, out) == (2, "")
+    assert err == f"sgpower {command}: error: the following arguments are required: {required}\n"
+    code, out, err = run_captured([command, "--help"])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0].endswith(" file")
+
+
 # -- one parser per process ---------------------------------------------------------
 
 

@@ -73,11 +73,13 @@ def test_enumeration_yields_sorted_shortest_paths(g):
                 assert all(g.has_edge(a, b) for a, b in zip(p, p[1:]))
 
 
-def test_enumeration_respects_budget():
+def test_enumeration_respects_budget(monkeypatch):
     g = c4_one_negative()  # two shortest paths between opposite corners
+    monkeypatch.setattr(oracle, "MAX_ORACLE_PATHS", 1)
     with pytest.raises(TooManyPathsError):
-        enumerate_shortest_paths(g, 0, 2, max_paths=1)
-    assert len(enumerate_shortest_paths(g, 0, 2, max_paths=2)) == 2
+        enumerate_shortest_paths(g, 0, 2)
+    monkeypatch.setattr(oracle, "MAX_ORACLE_PATHS", 2)
+    assert len(enumerate_shortest_paths(g, 0, 2)) == 2
 
 
 def test_enumeration_has_no_depth_limit():
