@@ -33,15 +33,20 @@ and `key ^ 1` the same pair with the other sign, a key expands only into
 its own block, and `key % 2NB` is its cover vertex in the batch: a level
 makes the same numpy calls for B graphs as for one, and a graph alone is
 the batch of one.  The table holds B * N^2 padded pairs, not the
-(B * N)^2 of the graphs' disjoint union.
+(B * N)^2 of the graphs' disjoint union.  A level whose push would expand
+more candidates than half the key slots and than _RUN_BUDGET // 8 runs
+dense (direction-optimizing BFS, Beamer, Asanovic and Patterson, SC 2012):
+each cover vertex ORs the source bits of its in-neighbours, the heads of
+its own arcs, 64 to a word.  Paths and `verify`'s batches never go dense.
 
 Cost: a key enters the frontier at most once, so one pass follows each
 of the 4E cover arcs at most once per source: O(V * E) work in
 `diameter` vectorised levels, whatever the diameter.  Memory: about 11
 bytes per padded pair, 2 for `dist`, 1 for `mask` and 8 for the key
 stamps, plus about 32 bytes per frontier key and 30 per candidate of
-one run of a level (see `_all_sources`).  A random graph of degree 6 at
-V=3000 peaks at about 290 MiB, 94 MiB of it the table.  The result is
+one run of a push level, or about 4 bytes per padded pair when levels
+turn dense (see `_dense`).  A random graph of degree 6 at V=3000 peaks
+at about 180 MiB, 86 MiB of it `dist` and the stamps.  The result is
 cached on the (immutable) graph as one `_Table` record: two arrays, `dist`
 (int16 hop distances, -1 when unreached; int32 from 2^15 vertices) and
 `mask` (uint8, bit 0 set when a positive shortest path exists, bit 1 when
@@ -53,7 +58,7 @@ whether the graph is connected.  Every reader goes through `_reach_table`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, count
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -148,6 +153,45 @@ def _runs(frontier: np.ndarray, cum: np.ndarray, degrees: np.ndarray, m: int, bl
         lo = hi
 
 
+def _wide(n: int, m: int) -> int:  # candidates past which a level runs dense
+    return max(n * m // 2, _RUN_BUDGET // 8)  # half the n * m key slots, and a floor
+
+
+def _dense(frontier, flat, stamp, n: int, level: int, remaining: int, d0, steps, degrees):
+    """Run levels densely from `level` while the next push would pass `_wide`, and
+    return the keys, the level and the pairs left.  Row c of `bits` packs the
+    sources at cover vertex c, row p of `unseen` those yet to reach pair p."""
+    flat, stamp = flat.reshape(n, -1), stamp.reshape(n, -1)
+    m, width = stamp.shape[1], -(-n // 64) * 64
+    bits, unseen = np.zeros((m, width), dtype=bool), np.zeros((m // 2, width), dtype=bool)
+    bits.ravel()[frontier % m * width + frontier // m] = True
+    unseen[:, :n] = flat.T < 0
+    bits, unseen = np.packbits(bits, axis=1), np.packbits(unseen, axis=1)
+    tails = np.arange(m).repeat(degrees) + steps  # the cover is symmetric: into c from its arcs' heads
+    has = np.flatnonzero(degrees)
+    starts = (degrees.cumsum() - degrees)[has]
+    step = 8 * max(1, _RUN_BUDGET // (2 * m))  # bytes of a block: about 32 * _RUN_BUDGET slots
+    for level in count(level):
+        old, bits, keys = bits, np.zeros_like(bits), 0
+        for w in range(0, width // 8, step):
+            new, fresh = bits[:, w : w + step], unseen[:, w : w + step]
+            new[has] = np.bitwise_or.reduceat(old[tails, w : w + step].view(np.uint64), starts).view(np.uint8)
+            signs = new.reshape(-1, 2, new.shape[1])
+            signs &= fresh[:, None]
+            fresh &= ~(signs[:, 0] | signs[:, 1])
+            rows = slice(8 * w, 8 * (w + step))
+            key_bits = np.unpackbits(new, axis=1, count=len(flat[rows])).view(bool)
+            stamp[rows] += key_bits.T  # every key reached here was at stamp -1, and its pair at dist -1
+            pair_bits = key_bits[0::2] | key_bits[1::2]
+            flat[rows] += pair_bits.T * flat.dtype.type(level + 1)
+            keys += (k := np.count_nonzero(key_bits))
+            remaining -= (p := np.count_nonzero(pair_bits))
+            if k > p:  # some pair took both signs
+                d0[(key_bits[0::2] & key_bits[1::2]).reshape(len(d0), -1).any(axis=1) & (d0 == 0)] = level
+        if not remaining or keys * steps.size <= _wide(n, m) * m:  # next push: keys * mean cover degree
+            return np.flatnonzero(np.unpackbits(bits, axis=1, count=n).T), level, remaining
+
+
 def _expand(keys: np.ndarray, c: np.ndarray, deg: np.ndarray, cum: np.ndarray, steps, ends) -> np.ndarray:
     """Every arc out of every key, in the keys' order, as a candidate key:
     c, deg and cum are the keys' cover vertices, their degrees and the
@@ -170,7 +214,7 @@ def _all_sources(graphs: Sequence[SignedGraph]) -> list[_Table]:
     de-duplicated before the next: two runs never share a vertex pair.
     A run expands at most _RUN_BUDGET candidates, unless its one source
     alone has more (up to 4E on a dense graph); a level within the
-    budget runs whole.
+    budget runs whole, and one past `_wide` candidates runs `_dense`.
     """
     b = len(graphs)
     sizes = [g.vertex_count for g in graphs]
@@ -198,12 +242,18 @@ def _all_sources(graphs: Sequence[SignedGraph]) -> list[_Table]:
     remaining = sum(v * v - v for v in sizes) - frontier.size
     d0 = np.zeros(b, dtype=np.intp)  # 0 until a level reaches a pair with both signs
     pending = b  # graphs whose d0 is still 0
+    wide = _wide(n, m)
     level = 1
     while remaining and frontier.size:
         level += 1
         c = frontier % m
         deg = degrees[c]
         cum = deg.cumsum()
+        if cum[-1] > wide:
+            del c, deg, cum
+            frontier, level, remaining = _dense(frontier, flat, stamp, n, level, remaining, d0, steps, degrees)
+            pending = b - np.count_nonzero(d0)
+            continue
         fits = cum[-1] <= _RUN_BUDGET
         runs = ((frontier, c, deg, cum),) if fits else _runs(frontier, cum, degrees, m, 2 * n)
         parts = []

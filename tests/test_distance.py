@@ -6,6 +6,7 @@ sign sets against exhaustive path enumeration and an even dumber DFS
 that never looks at the BFS DAG at all.
 """
 
+import contextlib
 import random
 import tracemalloc
 from pathlib import Path
@@ -36,7 +37,7 @@ from sgpower import (
     shortest_path_with_sign,
     sign_reachability,
 )
-from sgpower import core, distance
+from sgpower import core, distance, harness
 from sgpower.distance import _Table, _reach_table, build_tables
 from sgpower.oracle import CorpusSpec, enumerate_shortest_paths, generate
 
@@ -285,7 +286,8 @@ def test_a_level_splits_into_runs_at_the_default_budget(monkeypatch):
         return runs
 
     monkeypatch.setattr(distance, "_runs", counted)
-    g = _random_graph(400, 6, seed=11)
+    # a grid's push levels pass the budget but stay far below the dense rule's half of 2V^2 slots
+    g = _signed_grid(20, seed=11)
     table = _reach_table(g)
     assert max(runs_per_split, default=0) > 1
     expected = _reference_arrays(g)
@@ -365,9 +367,126 @@ def test_build_tables_cuts_batches_at_the_pair_budget(monkeypatch):
     assert sizes == [[3, 5], [7, 3], [13], [3, 5], [9]]
 
 
+# -- dense levels over packed source bits -----------------------------------------
+
+
+@contextlib.contextmanager
+def _always_dense():
+    """Run every level after the first densely, whatever its size; yields
+    the first level of each dense stretch, as the kernel calls `_dense`."""
+    levels, kernel = [], distance._dense
+    with mock.patch.object(distance, "_wide", lambda n, m: 0), mock.patch.object(
+        distance, "_dense", lambda *args: levels.append(args[4]) or kernel(*args)
+    ):
+        yield levels
+
+
+def _theta(lengths, rng):
+    """Internally disjoint paths of the given lengths (at least 2) between vertices 0 and 1."""
+    edges, n = [], 2
+    for k in lengths:
+        walk = [0, *range(n, n + k - 1), 1]
+        n += k - 1
+        edges += [(min(x, y), max(x, y), rng.choice((1, -1))) for x, y in zip(walk, walk[1:])]
+    return SignedGraph(n, edges)
+
+
+def _shapes():
+    rng = random.Random(23)
+
+    def sign():
+        return rng.choice((1, -1))
+
+    clique = [(u, v, sign()) for u in range(7) for v in range(u + 1, 7)]
+    return {
+        "complete": SignedGraph(9, [(u, v, sign()) for u in range(9) for v in range(u + 1, 9)]),
+        "complete_positive": SignedGraph(8, [(u, v, 1) for u in range(8) for v in range(u + 1, 8)]),
+        "star": SignedGraph(13, [(0, v, sign()) for v in range(1, 13)]),
+        "grid": _signed_grid(7, 3),
+        "theta": _theta((2, 5, 8), rng),
+        "theta_even": _theta((4, 4, 6), rng),
+        "lollipop": SignedGraph(19, clique + [(v, v + 1, sign()) for v in range(6, 18)]),
+        "isolated_vertex": SignedGraph(7, [(0, 1, 1), (1, 2, -1), (2, 3, 1), (0, 3, 1), (3, 4, -1)]),
+        "random_150": _random_graph(150, 4, seed=2),  # three words of 64 sources
+    }
+
+
+def _assert_reference_build(g, build):
+    expected = _reference_build(g)
+    assert np.array_equal(build.dist, expected[0])
+    assert np.array_equal(build.mask, expected[1])
+    assert build[2:] == expected[2:]
+
+
+@pytest.mark.parametrize("budget", (1, 3, distance._RUN_BUDGET))  # 1 and 3: a block of one 64-source word
+@pytest.mark.parametrize("name", sorted(_shapes()))
+def test_dense_levels_give_the_reference_build_on_named_shapes(name, budget):
+    g = _shapes()[name]
+    with mock.patch.object(distance, "_RUN_BUDGET", budget), _always_dense() as levels:
+        build = distance._all_sources([g])[0]
+    _assert_reference_build(g, build)
+    assert levels == ([2] if build.diameter > 1 else [])  # one stretch, from level 2 on
+
+
+@pytest.mark.parametrize("budget", (1, distance._RUN_BUDGET))
+def test_dense_levels_give_each_graph_of_a_batch_its_reference_build(budget):
+    graphs = list(_shapes().values())
+    with mock.patch.object(distance, "_RUN_BUDGET", budget), _always_dense():
+        for g, build in zip(graphs, distance._all_sources(graphs)):
+            _assert_reference_build(g, build)
+
+
+@pytest.mark.parametrize("budget", (1, 2, distance._RUN_BUDGET))
+@given(
+    st.lists(
+        st.one_of(connected_signed_graphs(min_vertices=1, max_vertices=10), signed_graphs()),
+        min_size=1,
+        max_size=12,
+    )
+)
+@settings(max_examples=40, deadline=None)
+def test_dense_levels_give_the_reference_build(budget, graphs):
+    with mock.patch.object(distance, "_RUN_BUDGET", budget), _always_dense():
+        build_tables(graphs)
+        lone = [distance._all_sources([g])[0] for g in graphs]
+    for g, alone in zip(graphs, lone):
+        _assert_reference_build(g, g._cache["reach_table"])
+        _assert_reference_build(g, alone)
+
+
+def test_dense_levels_give_the_reference_build_on_corpus_batches():
+    graphs = list(generate(CorpusSpec(seed=4, vertex_range=(2, 9), edge_probability=0.4, trials=120)))
+    with _always_dense():
+        build_tables(graphs)
+    for g in graphs:
+        _assert_reference_build(g, g._cache["reach_table"])
+
+
+def test_a_level_runs_dense_only_when_its_push_is_wide(monkeypatch):
+    dense, batches = [], []
+    kernel, wide = distance._dense, distance._wide
+    monkeypatch.setattr(distance, "_dense", lambda *args: dense.append(args[4]) or kernel(*args))
+    monkeypatch.setattr(distance, "_wide", lambda n, m: batches.append((n, m)) or wide(n, m))
+    # more candidates than half the key slots, and than a floor tied to the run budget
+    floor = distance._RUN_BUDGET // 8
+    assert [wide(n, 2 * n) for n in (8, 64, 1000)] == [floor, max(64 * 64, floor), 1000 * 1000]
+    _reach_table(_random_graph(128, 6, seed=3))
+    assert dense  # its wide middle levels
+    dense.clear()
+    _reach_table(path_graph([(-1) ** i for i in range(2999)]))  # about 4V candidates a level
+    assert dense == []
+    batches.clear()
+    for seed in range(30):  # one pass of `verify` at 10 trials a key
+        for key in harness.THEOREM_ORDER:
+            harness.run_theorem(key, 10, seed)
+    assert any(m > 2 * n for n, m in batches)  # batches of several graphs were built
+    assert dense == []
+
+
 def test_sign_table_build_memory_is_bounded():
-    # expanding each level at once peaked at about 139 MiB here; runs of
-    # whole sources over an int16 dist peak at about 30 MiB
+    # expanding each level at once peaked at about 139 MiB here, and runs of
+    # whole sources over an int16 dist at about 30 MiB; with the wide levels
+    # run dense over packed source bits the build peaks at about 17 MiB
     g = _random_graph(1000, 6, seed=5)
     g._adjacency_rows()
     tracemalloc.start()
