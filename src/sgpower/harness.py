@@ -1,16 +1,17 @@
 """Randomized checking of the structural claims on seeded corpora.
 
-Each theorem key draws its own corpus (seed derived from the base seed
-and the key's position) and runs one check per trial graph, over every
-applicable power exponent.  All randomness flows through the corpus
+`_KEYS` maps each theorem key, in report order, to its check and the
+corpora its trials draw from.  `check(key, g, seed, notes)` runs a key's
+check on one graph over every applicable power exponent, and gives None
+or the failure as one line (a raised `SignedGraphError`'s own line).
+`run_theorem` runs `check` over the key's corpus, seeded from the base
+seed and the key's position.  All randomness flows through the corpus
 generator and, in `l1` and `le` alone, a path-sampling generator seeded
 with the trial's seed, so a (theorem, seed, trials, max_vertices)
-quadruple always produces the identical report.
-The trial graphs are read in batches of at most `distance._RUN_BUDGET`
-padded vertex pairs, and each batch's sign tables are built by one
-search (`distance.build_tables`) before its graphs are checked, so
-memory stays bounded for any number of trials.  A check that raises a
-`SignedGraphError` fails its trial, described by the error's one line.
+quadruple always gives the identical report.  Trial graphs are read in
+batches of at most `distance._RUN_BUDGET` padded vertex pairs, each
+batch's sign tables built by one search (`distance.build_tables`)
+before its graphs are checked, so memory stays bounded for any trial count.
 
 Keys:
 
@@ -47,15 +48,12 @@ from .oracle import CorpusSpec, enumerate_shortest_paths, generate, oracle_reach
 from .power import associated_complete, is_power_unique, power
 from .spectra import balanced_spectrum_test
 
-THEOREM_ORDER = ("t1", "diam", "l1", "le", "t27", "blcm", "l3", "cbp", "sgs", "nbc")
-
 _PAIRS_PER_TRIAL = 3  # sampled start/end pairs for the path lemmas
 MAX_VERTICES = 1 << 10  # a trial of V vertices holds about p * V^2 / 2 edges, p = 0.25-0.5
 
 
 @dataclass
 class FailureCase:
-    theorem: str
     trial: int
     description: str
     graphs: dict[str, SignedGraph]
@@ -246,69 +244,61 @@ def _check_nbc(g: SignedGraph, seed: int, notes: dict[str, int]) -> str | None:
     return None
 
 
-_CHECKS = {
-    "t1": _check_t1,
-    "diam": _check_diam,
-    "l1": _check_l1,
-    "le": _check_le,
-    "t27": _check_t27,
-    "blcm": _check_blcm,
-    "l3": _check_l3,
-    "cbp": _check_cbp,
-    "sgs": _check_sgs,
-    "nbc": _check_nbc,
+# theorem key, in report order -> its check and the corpora its trials draw from
+# in turn: (least vertex count, edge probability, requirements) each
+_CONNECTED = ((3, 0.35, ("connected",)),)  # most keys' corpus
+_KEYS = {
+    "t1": (_check_t1, _CONNECTED),
+    "diam": (_check_diam, _CONNECTED),
+    "l1": (_check_l1, _CONNECTED),
+    "le": (_check_le, _CONNECTED),
+    "t27": (_check_t27, ((4, 0.3, ("connected",)),)),
+    "blcm": (_check_blcm, ((3, 0.5, ("two_connected", "balanced")),)),
+    "l3": (_check_l3, _CONNECTED),
+    # balanced and unrestricted trials alternate, so both directions of the equivalence get exercised
+    "cbp": (_check_cbp, ((3, 0.5, ("two_connected", "balanced")), (3, 0.5, ("two_connected",)))),
+    "sgs": (_check_sgs, ((2, 0.25, ("compatible",)),)),
+    "nbc": (_check_nbc, _CONNECTED),
 }
+THEOREM_ORDER = tuple(_KEYS)
 
 
-# theorem key -> the corpora its trials draw from, in turn: (least vertex
-# count, edge probability, requirements) each
-_CORPORA = {
-    "t27": [(4, 0.3, ("connected",))],
-    "blcm": [(3, 0.5, ("two_connected", "balanced"))],
-    # balanced and unrestricted trials alternate, so both directions of the
-    # equivalence get exercised
-    "cbp": [(3, 0.5, ("two_connected", "balanced")), (3, 0.5, ("two_connected",))],
-    "sgs": [(2, 0.25, ("compatible",))],
-}
-_DEFAULT_CORPORA = [(3, 0.35, ("connected",))]
+def check(key: str, g: SignedGraph, seed: int, notes: dict[str, int]) -> str | None:
+    """None when g passes `key`'s check for trial seed `seed`, else the failure as one
+    line; a raised `SignedGraphError` is a failure, described by the error's one line."""
+    try:
+        return _KEYS[key][0](g, seed, notes)
+    except SignedGraphError as exc:
+        return error_line(exc)
 
 
 def _corpus_graphs(theorem: str, trials: int, seed: int, max_vertices: int):
-    """Deterministic trial graph stream for one theorem key."""
+    """Deterministic trial graph stream for one theorem key, read in batches
+    whose sign tables are each built by one search."""
     base = seed * 1000 + THEOREM_ORDER.index(theorem)
     # each corpus declares all `trials` trials, though it yields only those taken
     # from it: `generate` seeds trial i from the spec's seed and i alone, and draws
     # ahead only for a corpus that requires compatibility (sgs has one corpus)
     streams = []
-    for k, (least, p, require) in enumerate(_CORPORA.get(theorem, _DEFAULT_CORPORA)):
+    for k, (least, p, require) in enumerate(_KEYS[theorem][1]):
         lo = min(least, max(3, max_vertices))  # t27's least of 4 gives way to max_vertices 3
         spec = CorpusSpec(base + 500 * k, (lo, max_vertices), p, frozenset(require), trials)
         streams.append(generate(spec))
-    for i in range(trials):
-        yield next(streams[i % len(streams)])
-
-
-def _tabled(graphs):
-    """The graphs in order, read in batches whose sign tables are each built by one search."""
-    for batch in _batches(graphs):
+    for batch in _batches(next(streams[i % len(streams)]) for i in range(trials)):
         build_tables(batch)
         yield from batch
 
 
 def run_theorem(theorem: str, trials: int, seed: int, max_vertices: int = 8) -> TheoremReport:
-    if theorem not in _CHECKS:
+    if theorem not in _KEYS:
         raise ValueError(f"unknown theorem key {theorem!r}")
     if max_vertices > MAX_VERTICES:
         raise ValueError(f"max_vertices must be at most {MAX_VERTICES}, got {max_vertices}")
-    check = _CHECKS[theorem]
     report = TheoremReport(theorem, trials, 0)
-    for trial, g in enumerate(_tabled(_corpus_graphs(theorem, trials, seed, max_vertices))):
-        try:
-            problem = check(g, seed * 2**32 + trial * 977 + THEOREM_ORDER.index(theorem), report.notes)
-        except SignedGraphError as exc:  # a failed trial; the corpus's own errors propagate
-            problem = error_line(exc)
+    for trial, g in enumerate(_corpus_graphs(theorem, trials, seed, max_vertices)):
+        problem = check(theorem, g, seed * 2**32 + trial * 977 + THEOREM_ORDER.index(theorem), report.notes)
         if problem is None:
             report.passed += 1
         else:
-            report.failures.append(FailureCase(theorem, trial, problem, {"graph": g}))
+            report.failures.append(FailureCase(trial, problem, {"graph": g}))
     return report

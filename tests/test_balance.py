@@ -281,7 +281,7 @@ def test_balance_and_two_connectivity_are_answered_once_per_graph(monkeypatch, k
     report, two = balance._balance_report, core._is_two_connected
     monkeypatch.setattr(balance, "_balance_report", lambda h: asked.append(("balance", h)) or report(h))
     monkeypatch.setattr(core, "_is_two_connected", lambda h: asked.append(("2c", h)) or two(h))
-    assert harness._CHECKS[key](g, 0, {}) is None
+    assert harness.check(key, g, 0, {}) is None
     assert [what for what, h in asked if h is g] == want
     assert is_balanced(g) is is_balanced(g)
 

@@ -9,6 +9,20 @@ fault does not check what that fault breaks.
 Each row also pins what its keys report under the fault: a sha256 over
 each named key's pass count, sorted notes and (trial, failure line)
 pairs, so a reworded failure line shows here as well as a changed count.
+
+`t27` has content in only about 4 of the 200 trials (a base that is
+incompatible with a unique power of exponent 2 or more below its
+diameter), so few faults can reach it.  `unique_at_d0` does, and drops
+it to 196/200; no other row moves it.
+
+A witness of either sign (`power.shortest_path_with_sign` returning the
+least shortest path of any sign) is a fault no key sees: on the
+reference run every key keeps its unfaulted count and notes.  `le`
+projects only unique powers, and every pair of a unique power has one
+sign, so its witnesses come out the same; `l1` lifts without witnesses,
+and no other key reads one.  `test_power.py`'s
+`test_a_sign_blind_witness_fails_the_witness_check` catches it with the
+witness check of `test_witnesses_realize_their_edges`.
 """
 
 import hashlib
@@ -52,6 +66,12 @@ def _unique_at_d0(monkeypatch):
 
     for module in (power_module, harness, balance_module):
         monkeypatch.setattr(module, "is_power_unique", unique)
+
+
+def _every_square_non_unique(monkeypatch):
+    """`is_power_unique` reads every square as non-unique."""
+    unique = power_module.is_power_unique
+    monkeypatch.setattr(power_module, "is_power_unique", lambda g, n: n != 2 and unique(g, n))
 
 
 def _max_power_by_sigma_min(monkeypatch):
@@ -122,6 +142,7 @@ def _spectral_test_ignores_signs(monkeypatch):
 FAULTS = {
     "flipped_completion": (_flipped_completion, ("diam", "l1", "le", "cbp", "sgs", "nbc")),
     "unique_at_d0": (_unique_at_d0, ("t1", "l1", "t27")),
+    "every_square_non_unique": (_every_square_non_unique, ("t1", "blcm", "cbp")),
     "max_power_by_sigma_min": (_max_power_by_sigma_min, ("t1", "diam")),
     "diameter_one_too_low": (_diameter_one_too_low, ("diam", "le", "sgs")),
     "single_signed_oracle": (_single_signed_oracle, ("t1",)),
@@ -137,6 +158,7 @@ DIGESTS = {
     "corpus_ignores_compatible": "82363f51b5ccc8ceebe884a20bf22e24c7a9424ea90f7797109475a5613f726b",
     "diameter_one_too_low": "80b3b0dee4f44ffe46d86eba9834d4fd218442ed039fb92a67b65b4100d20999",
     "every_graph_balanced": "a8b210a7a6de6123e66473268a0e099e32efcc3ef5f8380fe298ddd09054f39a",
+    "every_square_non_unique": "8196eef206edbbc9fcf7bb9eace89815fdafadd0c03eb828d5edb5404594f37d",
     "flipped_completion": "3ab0557eb5ff1b019efeef834112e96f90ecdab7ecdbbc01c6ec4acd98abe91e",
     "max_power_by_sigma_min": "282af695bad16398e8c697d3b81040b537b890c5cf733adf409a245043c63229",
     "positive_cover": "71c69122e50ebbafd1fcbfb627ff958babb165a82c83af5a4a3dcf906e110ad4",

@@ -236,8 +236,12 @@ def _raising_check(g, seed, notes):
     raise MissingWitnessError("no witness recorded for power edge (2, 3)")
 
 
+def _patch_nbc(monkeypatch, check):
+    monkeypatch.setitem(harness._KEYS, "nbc", (check, harness._KEYS["nbc"][1]))
+
+
 def test_a_raising_check_fails_its_trial_and_the_run_goes_on(monkeypatch):
-    monkeypatch.setitem(harness._CHECKS, "nbc", _raising_check)
+    _patch_nbc(monkeypatch, _raising_check)
     report = run_theorem("nbc", 6, seed=1)
     assert report.passed == 0
     assert [c.trial for c in report.failures] == list(range(6))
@@ -248,7 +252,7 @@ def test_a_raising_check_fails_its_trial_and_the_run_goes_on(monkeypatch):
 
 
 def test_verify_reports_a_raising_check_and_writes_its_bundle(monkeypatch, capsys, tmp_path):
-    monkeypatch.setitem(harness._CHECKS, "nbc", _raising_check)
+    _patch_nbc(monkeypatch, _raising_check)
     argv = ["verify", "--theorem", "nbc", "--trials", "4", "--seed", "1", "--bundle", str(tmp_path)]
     assert main(argv) == 1
     assert capsys.readouterr().out.splitlines() == ["nbc 0/4", "result FAIL nbc"]
@@ -259,6 +263,37 @@ def test_verify_reports_a_raising_check_and_writes_its_bundle(monkeypatch, capsy
         "graph=case_nbc_0_graph.sg"
     )
     assert (tmp_path / "case_nbc_0_graph.sg").is_file()
+
+
+def test_check_turns_only_a_library_error_into_its_line(monkeypatch):
+    g = c4_one_negative()
+    _patch_nbc(monkeypatch, _raising_check)
+    assert harness.check("nbc", g, 0, {}) == "MissingWitness: no witness recorded for power edge (2, 3)"
+
+    def broken(g, seed, notes):
+        raise ZeroDivisionError("a fault in the check itself")
+
+    _patch_nbc(monkeypatch, broken)
+    with pytest.raises(ZeroDivisionError):
+        harness.check("nbc", g, 0, {})
+
+
+@pytest.mark.parametrize("name", THEOREM_ORDER)
+def test_check_gives_what_run_theorem_records(name):
+    trials, failed = 40, 0
+    for seed in (0, 3, 42):
+        report = run_theorem(name, trials, seed)
+        notes = {}
+        # each trial's seed as `run_theorem` derives it from the base seed, trial and key
+        lines = [
+            harness.check(name, g, seed * 2**32 + trial * 977 + THEOREM_ORDER.index(name), notes)
+            for trial, g in enumerate(harness._corpus_graphs(name, trials, seed, 8))
+        ]
+        recorded = {c.trial: c.description for c in report.failures}
+        assert lines == [recorded.get(trial) for trial in range(trials)]
+        assert notes == report.notes
+        failed += len(recorded)
+    assert (failed > 0) == (name == "l3")
 
 
 def test_a_corpus_error_still_ends_the_run(monkeypatch):

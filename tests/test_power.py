@@ -129,9 +129,7 @@ def test_power_distance_is_ceiling_of_base_distance(g, n):
             assert lifted[v].distance == math.ceil(base[v].distance / n)
 
 
-@given(connected_signed_graphs(max_vertices=7), st.integers(1, 3))
-@settings(max_examples=60)
-def test_witnesses_realize_their_edges(g, n):
+def _check_witnesses(g, n):
     pr = power(g, n)
     for (u, v), w in pr.witnesses_max.items():
         assert w[0] == u and w[-1] == v
@@ -139,6 +137,26 @@ def test_witnesses_realize_their_edges(g, n):
         assert path_sign(g, w) == pr.power_max.sign(u, v)
     for (u, v), w in pr.witnesses_min.items():
         assert path_sign(g, w) == pr.power_min.sign(u, v)
+
+
+@given(connected_signed_graphs(max_vertices=7), st.integers(1, 3))
+@settings(max_examples=60)
+def test_witnesses_realize_their_edges(g, n):
+    _check_witnesses(g, n)
+
+
+def test_a_sign_blind_witness_fails_the_witness_check(monkeypatch):
+    # a fault no `verify` key sees: a witness of either sign, the least shortest path
+    def least(g, u, v, sign):
+        return min(p for p in (shortest_path_with_sign(g, u, v, s) for s in (1, -1)) if p is not None)
+
+    g = c4_one_negative()
+    assert not is_power_unique(g, 2)
+    _check_witnesses(g, 2)
+    monkeypatch.setattr(importlib.import_module("sgpower.power"), "shortest_path_with_sign", least)
+    # the max witness of the positive edge (1, 3) is the negative path (1, 0, 3)
+    with pytest.raises(AssertionError, match=r"where -1 = path_sign\(.*, \(1, 0, 3\)\)"):
+        _check_witnesses(g, 2)
 
 
 @given(connected_signed_graphs(), st.integers(1, 4))
