@@ -4,11 +4,12 @@ Subcommands: info, distance, power, complete, balance, compatible,
 spectrum, lift, project, verify, generate.  Graphs travel as the plain
 text format of `fileio`; every command but `verify` and `generate` takes
 a graph file last, which `main` reads.  `distance`, `power` and
-`complete` write straight from the sign table: `distance` looks up each
-cell's text in a table of labels, one gather and one write per block of
-rows.  Domain errors and unreadable files exit with status 1 and the
-error name on standard error; usage errors exit with status 2.  One
-parser, built once per process (about 4 ms), serves every `main` call.
+`complete` write straight from the sign table: one gather from a table of
+labels and one write per block of rows (`distance._row_blocks`), the pairs
+of `power` and `complete` through `fileio.serialize_edges`.  Domain errors
+and unreadable files exit with status 1 and the error name on standard
+error; usage errors exit with status 2.  One parser, built once per
+process (about 4 ms), serves every `main` call.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import distance, harness
+from . import harness
 from .balance import is_balanced, lift_path, project_path
 from .core import (
     NonUniquePowerError,
@@ -37,6 +38,7 @@ from .distance import (
     _SIGMA_MAX,
     _SIGMA_MIN,
     _reach_table,
+    _row_blocks,
     diameter,
     first_incompatible_pair,
     is_compatible,
@@ -115,44 +117,34 @@ def _cmd_distance(g: SignedGraph, args) -> int:
     table = _reach_table(g)
     d = table.diameter  # entry d + k of `cells` is "k\t", of `ends` "k\n"
     cells, ends = (np.array([f"{k}{c}" for k in range(-d, d + 1)], dtype=object) for c in "\t\n")
-    rows = max(1, distance._RUN_BUDGET // g.vertex_count)
     # D_max is +dist where a shortest path is positive, D_min is -dist where one is negative
     for mode, bit, sign in (("max", _POS, 1), ("min", _NEG, -1)):
         if args.mode == "both":
             sys.stdout.write(f"# {mode}\n")
         elif args.mode != mode:
             continue
-        for lo in range(0, g.vertex_count, rows):
-            dist = sign * table.dist[lo : lo + rows].astype(np.intp)  # d + dist may pass int16
-            index = np.where(table.mask[lo : lo + rows] & bit, d + dist, d - dist)
+        for rows in _row_blocks(g.vertex_count):
+            dist = sign * table.dist[rows].astype(np.intp)  # d + dist may pass int16
+            index = np.where(table.mask[rows] & bit, d + dist, d - dist)
             text = cells[index]
             text[:, -1] = ends[index[:, -1]]
             sys.stdout.write("".join(text.ravel().tolist()))
     return 0
 
 
-def _write_pairs(g: SignedGraph, n: int, sigma: tuple[int, ...]) -> None:
-    """Write the graph on V(g) joining the pairs at distance <= n, signed by sigma."""
-    sys.stdout.write(serialize_edges(g.vertex_count, *_close_pairs(g, n, sigma)))
-
-
 def _cmd_power(g: SignedGraph, args) -> int:
     power(g, args.n)  # checks the exponent and connectivity
     pair = first_incompatible_pair_within(g, args.n) if args.mode == "unique" else None
     if pair is not None:
-        raise NonUniquePowerError(
-            f"incompatible pair {pair[0]} {pair[1]} at distance <= {args.n}"
-        )
-    _write_pairs(g, args.n, _SIGMA_MIN if args.mode == "min" else _SIGMA_MAX)
+        raise NonUniquePowerError(f"incompatible pair {pair[0]} {pair[1]} at distance <= {args.n}")
+    sigma = _SIGMA_MIN if args.mode == "min" else _SIGMA_MAX
+    sys.stdout.writelines(serialize_edges(g.vertex_count, _close_pairs(g, args.n, sigma)))
     return 0
 
 
 def _cmd_complete(g: SignedGraph, args) -> int:
-    sigma = _completion_sigma(g, args.mode)
-    if sigma is None:
-        sys.stdout.write(serialize_graph(g))
-    else:
-        _write_pairs(g, diameter(g), sigma)  # every pair
+    sigma = _completion_sigma(g, args.mode) or _SIGMA_MAX  # None: a complete g, its own completion
+    sys.stdout.writelines(serialize_edges(g.vertex_count, _close_pairs(g, diameter(g), sigma)))
     return 0
 
 

@@ -52,7 +52,8 @@ cached on the (immutable) graph as one `_Table` record: two arrays, `dist`
 `mask` (uint8, bit 0 set when a positive shortest path exists, bit 1 when
 a negative one does), and three facts of the build: the diameter, d0,
 the first level that reached a pair with both signs (None if none), and
-whether the graph is connected.  Every reader goes through `_reach_table`.
+whether the graph is connected.  Every reader goes through `_reach_table`,
+and one that scans the whole table reads it in the blocks of `_row_blocks`.
 """
 
 from __future__ import annotations
@@ -369,15 +370,19 @@ def is_compatible(g: SignedGraph) -> bool:
     return _reach_table(g).d0 is None
 
 
+def _row_blocks(v: int) -> Iterator[slice]:
+    """Slices of at most _RUN_BUDGET cells of a V x V table's rows, one row at least."""
+    rows = max(1, _RUN_BUDGET // v)
+    return map(slice, range(0, v, rows), range(rows, v + rows, rows))
+
+
 def _first_both(table: _Table, n: int | None = None) -> tuple[int, int] | None:
     """Row-major first pair with both signs (and distance <= n), read a block of rows at a time."""
     v = len(table.mask)
-    rows = max(1, _RUN_BUDGET // v)
-    for lo in range(0, v, rows):
-        block = slice(lo, lo + rows)
-        signs = table.mask[block] if n is None else table.mask[block] * (table.dist[block] <= n)
+    for rows in _row_blocks(v):
+        signs = table.mask[rows] if n is None else table.mask[rows] * (table.dist[rows] <= n)
         if (at := signs.tobytes().find(_BOTH)) >= 0:
-            return divmod(lo * v + at, v)
+            return divmod(rows.start * v + at, v)
     return None
 
 

@@ -14,8 +14,8 @@ constructor's edge errors (loops, duplicates, out-of-range ends) are
 re-raised as the same error types with the line number in front, so the
 first bad line is the one reported.
 
-The writer `serialize_edges` takes row-major edge arrays: `power` and
-`complete` stream from the sign table through it, building no graph.
+The writer `serialize_edges` yields the text a block of row-major edge arrays
+at a time; `power` and `complete` feed it the sign table's rows, building no graph.
 
 Corpus spec files are `key = value` lines (# comments allowed) with
 keys: seed, min_vertices, max_vertices, edge_probability, trials and
@@ -25,6 +25,8 @@ max_vertices, say) at the later line of the keys involved.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 import numpy as np
 
@@ -36,6 +38,7 @@ from .core import (
     SignedGraphError,
     VertexOutOfRangeError,
 )
+from .distance import _RUN_BUDGET
 from .oracle import CorpusSpec
 
 SIGN_TOKENS = {"+": 1, "1": 1, "-": -1, "-1": -1}
@@ -96,25 +99,23 @@ def parse_graph(text: str) -> SignedGraph:
         raise type(exc)(f"line {ln}: {exc}") from None
 
 
-def serialize_edges(n: int, us, vs, signs, comments: tuple[str, ...] = ()) -> str:
-    """Text of the graph on n vertices with edges (us[i], vs[i], signs[i]), sorted
-    row-major with u < v.  Each row is one `str.join` whose separator repeats the
-    row's head "u ", over the tails "v +" / "v -" looked up at 2v + (sign < 0)."""
-    tails = [f"{v} {c}" for v in range(n) for c in "+-"]
-    keys = (2 * np.asarray(vs, dtype=np.intp) + (np.asarray(signs) < 0)).tolist()
-    row_ends = np.bincount(np.asarray(us, dtype=np.intp), minlength=n).cumsum().tolist()
-    out = ["sg 1", *(f"# {c}" for c in comments), f"n {n}"]
-    lo = 0
-    for u, hi in enumerate(row_ends):
-        if hi > lo:
-            out.append(f"{u} " + f"\n{u} ".join(map(tails.__getitem__, keys[lo:hi])))
-            lo = hi
-    return "\n".join(out) + "\n"
+def serialize_edges(n: int, blocks, comments: tuple[str, ...] = ()) -> Iterator[str]:
+    """Text of the graph on n vertices whose edges come as `blocks` of arrays (us, vs,
+    signs), all row-major with u < v: the header, then one string per block, each
+    one gather from a table of labels, heads "u " and tails "v +" / "v -" and a newline."""
+    yield "".join(f"{line}\n" for line in ("sg 1", *(f"# {c}" for c in comments), f"n {n}"))
+    heads, tails = [f"{u} " for u in range(n)], [f"{v} {c}\n" for v in range(n) for c in "+-"]
+    labels = np.array(heads + tails, dtype=object)  # head u at u, tail (v, s) at n + 2v + (s < 0)
+    for us, vs, signs in blocks:
+        ends = n + 2 * np.asarray(vs, dtype=np.intp) + (np.asarray(signs) < 0)
+        at = np.stack((np.asarray(us, dtype=np.intp), ends), axis=1)  # head, tail, head, tail, ...
+        yield "".join(labels[at.ravel()].tolist())
 
 
 def serialize_graph(g: SignedGraph, comments: tuple[str, ...] = ()) -> str:
-    us, vs, signs = np.array(g.edges, dtype=np.intp).reshape(-1, 3).T
-    return serialize_edges(g.vertex_count, us, vs, signs, comments)
+    edges = np.array(g.edges, dtype=np.intp).reshape(-1, 3)  # a line needs no row boundary
+    blocks = (edges[lo : lo + _RUN_BUDGET].T for lo in range(0, len(edges), _RUN_BUDGET))
+    return "".join(serialize_edges(g.vertex_count, blocks, comments))
 
 
 def _requirements(text: str) -> frozenset[str]:

@@ -26,14 +26,14 @@ the first time it is read.  The first power is the graph itself: each
 edge is the one shortest path between its ends.
 
 A power is a choice of pairs and a sign lookup in the table; `_table_graph`
-builds every graph here, a completion as the power at the diameter.  The
-array reader `_close_pairs` gives a witness map its keys and the `power` and
-`complete` commands their text, through `fileio.serialize_edges`.
+builds every graph here, a completion as the power at the diameter.
+`_close_pairs` yields the pairs a block of rows at a time: a witness map's
+keys, and the `power` and `complete` commands' text via `fileio.serialize_edges`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from functools import cached_property
 
 import numpy as np
@@ -44,6 +44,7 @@ from .distance import (
     _SIGMA_MIN,
     _first_both,
     _reach_table,
+    _row_blocks,
     diameter,
     first_incompatible_pair,
     shortest_path_with_sign,
@@ -52,13 +53,14 @@ from .distance import (
 Witnesses = Mapping[tuple[int, int], tuple[int, ...]]
 
 
-def _close_pairs(g: SignedGraph, n: int, sigma: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """(us, vs, signs by `sigma`) of the pairs u < v at distance <= n, row-major."""
+def _close_pairs(g: SignedGraph, n: int, sigma: tuple[int, ...]) -> Iterator[tuple[np.ndarray, ...]]:
+    """(us, vs, signs by `sigma`) of the pairs u < v at distance <= n, row-major, per block of rows."""
     table = _reach_table(g)
-    flat = np.flatnonzero(table.dist <= n)
-    us, vs = np.divmod(flat, g.vertex_count)
-    upper = us < vs
-    return us[upper], vs[upper], np.take(sigma, table.mask.ravel()[flat[upper]])
+    for rows in _row_blocks(g.vertex_count):
+        flat = np.flatnonzero(table.dist[rows] <= n)
+        us, vs = np.divmod(flat + rows.start * g.vertex_count, g.vertex_count)
+        upper = us < vs
+        yield us[upper], vs[upper], np.take(sigma, table.mask[rows].ravel()[flat[upper]])
 
 
 def _table_graph(g: SignedGraph, n: int, sigma: tuple[int, ...]) -> SignedGraph:
@@ -122,8 +124,8 @@ class _LazyWitnesses(Mapping):
         return self._edge(key) is not None  # without building the witness
 
     def __iter__(self):
-        us, vs, _ = _close_pairs(self._g, self._n, self._sigma)
-        return zip(us.tolist(), vs.tolist())
+        for us, vs, _ in _close_pairs(self._g, self._n, self._sigma):
+            yield from zip(us.tolist(), vs.tolist())
 
     def __len__(self) -> int:
         # dist is symmetric and its diagonal (0) is always within n

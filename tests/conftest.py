@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import random
 from pathlib import Path
 
 import pytest
@@ -50,6 +51,16 @@ def all_negative_cycle(k: int) -> SignedGraph:
 
 def complete_graph(n: int, sign: int = 1) -> SignedGraph:
     return SignedGraph(n, [(u, v, sign) for u in range(n) for v in range(u + 1, n)])
+
+
+def random_graph(n: int, avg_degree: int, seed: int) -> SignedGraph:
+    """Random recursive spanning tree plus random extra edges, random signs."""
+    rng = random.Random(seed)
+    pairs = {(rng.randrange(v), v) for v in range(1, n)}
+    while len(pairs) < n * avg_degree // 2:
+        u, v = sorted(rng.sample(range(n), 2))
+        pairs.add((u, v))
+    return SignedGraph(n, [(u, v, rng.choice((1, -1))) for u, v in sorted(pairs)])
 
 
 def c4_one_negative() -> SignedGraph:

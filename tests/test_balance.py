@@ -184,6 +184,7 @@ def test_projecting_a_one_vertex_path_checks_the_vertex():
     g = path_graph([1, -1])
     w = power(g, 2).witnesses_max
     assert project_path(w, [1]) == (1,)
+    assert project_path(w, [0]) == (0,)  # the lower end of [0, 3)
     for bad in ([7], [3], [-1]):
         with pytest.raises(NotAPathError, match=f"vertex {bad[0]} outside \\[0, 3\\)"):
             project_path(w, bad)

@@ -12,6 +12,7 @@ import json
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -45,6 +46,7 @@ from conftest import (
     connected_signed_graphs,
     cycle_graph,
     path_graph,
+    random_graph,
 )
 
 
@@ -293,6 +295,64 @@ def test_power_and_complete_print_what_the_library_builds_on_three_digit_ids():
 )
 def test_power_and_complete_fail_like_the_library(g):
     assert_cli_matches_library(g, (0, 1, 2))
+
+
+_BLOCK_GRAPHS = {
+    "40-vertex path": path_graph([1, -1, -1] * 13),
+    "200-vertex negative cycle": cycle_graph([1, -1] * 99 + [-1, -1]),  # both signs at distance 100
+}
+
+
+@pytest.mark.parametrize(
+    "name, budget, blocks",
+    [
+        ("40-vertex path", 7, 40),
+        ("40-vertex path", 130, 14),
+        ("200-vertex negative cycle", distance._RUN_BUDGET, 2),
+    ],
+)
+def test_power_and_complete_write_blocks_of_rows(monkeypatch, name, budget, blocks):
+    """One write for the header, then one per block of rows, cut as `distance` cuts
+    them: 40 rows as 40 blocks of one row or 14 of three rows at most, and 200 rows
+    at the default budget as a block of 163 rows and one of 37."""
+    g = _BLOCK_GRAPHS[name]
+    monkeypatch.setattr(distance, "_RUN_BUDGET", budget)
+    assert_cli_matches_library(g, (2, diameter(g)))
+    with tempfile.TemporaryDirectory() as tmp:
+        f = Path(tmp) / "g.sg"
+        f.write_text(serialize_graph(g))
+        for argv in (["power", "-n", "2"], ["complete", "--mode", "max"], ["complete", "--mode", "min"]):
+            out = _CountingWrites()
+            with contextlib.redirect_stdout(out):
+                assert main([*argv, str(f)]) == 0
+            assert out.writes == 1 + blocks, argv
+
+
+class _Discard(io.TextIOBase):
+    def write(self, text):
+        return len(text)
+
+
+def test_complete_peaks_near_the_sign_table_build(tmp_path):
+    """`complete` writes a block of rows at a time, so on a random 800-vertex graph
+    its peak stays near the table's build; writing the whole table at once took it
+    to about 2.6 times the build."""
+    g = random_graph(800, 6, seed=1)
+    f = tmp_path / "g.sg"
+    f.write_text(serialize_graph(g))
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(_Discard()):
+                run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    table = peak(lambda: distance._reach_table(SignedGraph(800, g.edges)))  # a fresh graph's build
+    complete = peak(lambda: main(["complete", "--mode", "max", str(f)]))
+    assert complete <= 1.25 * table, (table, complete)
 
 
 # -- balance / compatible -------------------------------------------------------------

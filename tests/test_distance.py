@@ -49,6 +49,7 @@ from conftest import (
     connected_signed_graphs,
     cycle_graph,
     path_graph,
+    random_graph,
 )
 
 
@@ -240,16 +241,6 @@ def _reference_arrays(g):
     return dist, mask
 
 
-def _random_graph(n: int, avg_degree: int, seed: int) -> SignedGraph:
-    """Random recursive spanning tree plus random extra edges, random signs."""
-    rng = random.Random(seed)
-    pairs = {(rng.randrange(v), v) for v in range(1, n)}
-    while len(pairs) < n * avg_degree // 2:
-        u, v = sorted(rng.sample(range(n), 2))
-        pairs.add((u, v))
-    return SignedGraph(n, [(u, v, rng.choice((1, -1))) for u, v in sorted(pairs)])
-
-
 @pytest.mark.parametrize("budget", (1, 2, 5, 64))
 @given(st.one_of(connected_signed_graphs(min_vertices=1, max_vertices=10), signed_graphs()))
 @settings(max_examples=60, deadline=None)
@@ -407,7 +398,7 @@ def _shapes():
         "theta_even": _theta((4, 4, 6), rng),
         "lollipop": SignedGraph(19, clique + [(v, v + 1, sign()) for v in range(6, 18)]),
         "isolated_vertex": SignedGraph(7, [(0, 1, 1), (1, 2, -1), (2, 3, 1), (0, 3, 1), (3, 4, -1)]),
-        "random_150": _random_graph(150, 4, seed=2),  # three words of 64 sources
+        "random_150": random_graph(150, 4, seed=2),  # three words of 64 sources
     }
 
 
@@ -470,7 +461,7 @@ def test_a_level_runs_dense_only_when_its_push_is_wide(monkeypatch):
     # more candidates than half the key slots, and than a floor tied to the run budget
     floor = distance._RUN_BUDGET // 8
     assert [wide(n, 2 * n) for n in (8, 64, 1000)] == [floor, max(64 * 64, floor), 1000 * 1000]
-    _reach_table(_random_graph(128, 6, seed=3))
+    _reach_table(random_graph(128, 6, seed=3))
     assert dense  # its wide middle levels
     dense.clear()
     _reach_table(path_graph([(-1) ** i for i in range(2999)]))  # about 4V candidates a level
@@ -487,7 +478,7 @@ def test_sign_table_build_memory_is_bounded():
     # expanding each level at once peaked at about 139 MiB here, and runs of
     # whole sources over an int16 dist at about 30 MiB; with the wide levels
     # run dense over packed source bits the build peaks at about 17 MiB
-    g = _random_graph(1000, 6, seed=5)
+    g = random_graph(1000, 6, seed=5)
     g._adjacency_rows()
     tracemalloc.start()
     try:

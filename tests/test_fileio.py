@@ -77,7 +77,11 @@ def test_writer_matches_the_per_edge_format(g, comments):
     text = serialize_graph(g, comments)
     assert text == reference_text(g, comments)
     us, vs, signs = map(list, zip(*g.edges)) if g.edges else ([], [], [])  # plain lists
-    assert serialize_edges(g.vertex_count, us, vs, signs, comments) == text
+    assert "".join(serialize_edges(g.vertex_count, [(us, vs, signs)], comments)) == text
+    for size in (1, 3):  # a line needs no row boundary: blocks of one edge, and of three
+        cut = [slice(lo, lo + size) for lo in range(0, len(us), size)]
+        blocks = [(us[b], vs[b], signs[b]) for b in cut]
+        assert "".join(serialize_edges(g.vertex_count, blocks, comments)) == text
     assert parse_graph(text) == g
 
 

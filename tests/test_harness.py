@@ -55,6 +55,12 @@ def test_max_vertices_above_the_cap_rejected():
             run_theorem("t1", 1, 0, too_many)
 
 
+def test_max_vertices_at_the_cap_accepted():
+    # the cap itself is allowed; `diam` on one trial of up to 1024 vertices is quick
+    report = run_theorem("diam", 1, 0, harness.MAX_VERTICES)
+    assert (report.name, report.trials) == ("diam", 1)
+
+
 @pytest.mark.parametrize("name", THEOREM_ORDER)
 def test_reports_are_deterministic(name):
     a = run_theorem(name, 12, seed=7, max_vertices=7)
