@@ -34,19 +34,20 @@ its own block, and `key % 2NB` is its cover vertex in the batch: a level
 makes the same numpy calls for B graphs as for one, and a graph alone is
 the batch of one.  The table holds B * N^2 padded pairs, not the
 (B * N)^2 of the graphs' disjoint union.  A level whose push would expand
-more candidates than half the key slots and than _RUN_BUDGET // 8 runs
-dense (direction-optimizing BFS, Beamer, Asanovic and Patterson, SC 2012):
-each cover vertex ORs the source bits of its in-neighbours, the heads of
-its own arcs, 64 to a word.  Paths and `verify`'s batches never go dense.
+more candidates than half its arcs times its 64-source words, and than
+_RUN_BUDGET // 16, runs dense (direction-optimizing BFS, Beamer, Asanovic
+and Patterson, SC 2012): each cover vertex ORs the packed source bits of
+its in-neighbours, the heads of its own arcs, until the frontier narrows
+again (see `_dense`).  Paths and `verify`'s batches never go dense.
 
 Cost: a key enters the frontier at most once, so one pass follows each
 of the 4E cover arcs at most once per source: O(V * E) work in
 `diameter` vectorised levels, whatever the diameter.  Memory: about 11
 bytes per padded pair, 2 for `dist`, 1 for `mask` and 8 for the key
 stamps, plus about 32 bytes per frontier key and 30 per candidate of
-one run of a push level, or about 4 bytes per padded pair when levels
-turn dense (see `_dense`).  A random graph of degree 6 at V=3000 peaks
-at about 180 MiB, 86 MiB of it `dist` and the stamps.  The result is
+one run of a push level, or about 1.5 bytes per padded pair and one
+block of temporaries while levels run dense.  A random graph of degree 6
+at V=3000 peaks at about 112 MiB, 86 MiB of it `dist` and the stamps.  The result is
 cached on the (immutable) graph as one `_Table` record: two arrays, `dist`
 (int16 hop distances, -1 when unreached; int32 from 2^15 vertices) and
 `mask` (uint8, bit 0 set when a positive shortest path exists, bit 1 when
@@ -118,20 +119,18 @@ def _cover_arcs(graphs: Sequence[SignedGraph], n: int) -> tuple[np.ndarray, np.n
     2n*i + 2v + 1, and an edge of sign s joins (x, e) to (y, e * s).  An
     arc is stored as the step from its tail to its head, so the arcs out
     of cover vertex c lead to c + steps[ends[c] - degrees[c] : ends[c]],
-    read off the edge maps in no set order (the table does not depend on it).
+    in no set order (the table does not depend on it).
     """
-    out: list[list[int]] = [[] for _ in range(2 * n * len(graphs))]
-    for i, g in enumerate(graphs):
-        base = 2 * n * i
-        for (u, v), s in g._sign_by_pair.items():
-            a, d, neg = base + 2 * u, 2 * (v - u), s < 0  # (u, +) and (v, +) are a and a + d
-            out[a].append(d + neg)
-            out[a + 1].append(d - neg)
-            out[a + d].append(neg - d)
-            out[a + d + 1].append(-neg - d)
-    degrees = np.fromiter(map(len, out), np.intp, len(out))
-    ends = degrees.cumsum()
-    return np.fromiter(chain.from_iterable(out), np.intp, ends[-1]), ends, degrees
+    maps = [g._sign_by_pair for g in graphs]
+    sizes = list(map(len, maps))
+    # (u, +) and (v, +) of each edge u < v, whose four arcs leave (u, +), (u, -), (v, +) and (v, -)
+    cover = 2 * np.fromiter(chain.from_iterable(chain.from_iterable(maps)), np.intp).reshape(-1, 2)
+    cover += np.arange(0, 2 * n * len(maps), 2 * n).repeat(sizes)[:, None]
+    neg = np.fromiter(chain.from_iterable(map(dict.values, maps)), np.intp, len(cover)) < 0
+    tails = (cover[:, [0, 0, 1, 1]] + [0, 1, 0, 1]).ravel()
+    heads = (cover[:, [1, 1, 0, 0]] + (neg[:, None] ^ [0, 1, 0, 1])).ravel()
+    degrees = np.bincount(tails, minlength=2 * n * len(maps))
+    return (heads - tails)[tails.argsort()], degrees.cumsum(), degrees
 
 
 def _runs(frontier: np.ndarray, cum: np.ndarray, degrees: np.ndarray, m: int, block: int):
@@ -154,43 +153,63 @@ def _runs(frontier: np.ndarray, cum: np.ndarray, degrees: np.ndarray, m: int, bl
         lo = hi
 
 
-def _wide(n: int, m: int) -> int:  # candidates past which a level runs dense
-    return max(n * m // 2, _RUN_BUDGET // 8)  # half the n * m key slots, and a floor
+def _wide(n: int, arcs: int) -> int:  # candidates past which a level runs dense; tiny batches never do
+    return max(arcs * -(-n // 64) // 2, _RUN_BUDGET // 16)  # a push candidate costs about 2 dense arc-words
 
 
 def _dense(frontier, flat, stamp, n: int, level: int, remaining: int, d0, steps, degrees):
     """Run levels densely from `level` while the next push would pass `_wide`, and
-    return the keys, the level and the pairs left.  Row c of `bits` packs the
-    sources at cover vertex c, row p of `unseen` those yet to reach pair p."""
+    return the keys (none unless push levels follow), the level and the pairs left.
+    A level reads and writes only words of 64 sources, in blocks of about 32 * _RUN_BUDGET
+    source slots: `bits` and `reached` by cover vertex, `unseen` and `planes` by pair, plane
+    i bit i of 1 + the pair's level.  `stamp` and `flat` are written when the stretch ends."""
     flat, stamp = flat.reshape(n, -1), stamp.reshape(n, -1)
-    m, width = stamp.shape[1], -(-n // 64) * 64
-    bits, unseen = np.zeros((m, width), dtype=bool), np.zeros((m // 2, width), dtype=bool)
-    bits.ravel()[frontier % m * width + frontier // m] = True
-    unseen[:, :n] = flat.T < 0
-    bits, unseen = np.packbits(bits, axis=1), np.packbits(unseen, axis=1)
+    m, arcs = stamp.shape[1], steps.size
+    q = min(-(-n // 64), max(1, _RUN_BUDGET // (2 * m)))  # words of a block
+    blocks = range(0, n, 64 * q)  # each block's first source
+
+    def unpack(words, j):  # block j of the words as a 0/1 row per source
+        return np.unpackbits(words[j].view(np.uint8).T, axis=0, bitorder="little")[: n - blocks[j]]
+
+    bits, unseen = np.zeros((len(blocks), m, q), np.uint64), np.zeros((len(blocks), m // 2, q), np.uint64)
+    for j, s in enumerate(blocks):
+        x, rows = np.zeros((m, 64 * q), dtype=bool), flat[s : s + 64 * q]
+        here = frontier[slice(*np.searchsorted(frontier, (s * m, (s + 64 * q) * m)))] - s * m
+        x[here % m, here // m] = True
+        bits[j].view(np.uint8)[:] = np.packbits(x, axis=1, bitorder="little")
+        packed = np.packbits((rows < 0).T.copy(), axis=1, bitorder="little")
+        unseen[j].view(np.uint8)[:, : packed.shape[1]] = packed
     tails = np.arange(m).repeat(degrees) + steps  # the cover is symmetric: into c from its arcs' heads
     has = np.flatnonzero(degrees)
     starts = (degrees.cumsum() - degrees)[has]
-    step = 8 * max(1, _RUN_BUDGET // (2 * m))  # bytes of a block: about 32 * _RUN_BUDGET slots
+    reached, planes, wide = np.zeros_like(bits), [], _wide(n, arcs)
     for level in count(level):
-        old, bits, keys = bits, np.zeros_like(bits), 0
-        for w in range(0, width // 8, step):
-            new, fresh = bits[:, w : w + step], unseen[:, w : w + step]
-            new[has] = np.bitwise_or.reduceat(old[tails, w : w + step].view(np.uint64), starts).view(np.uint8)
-            signs = new.reshape(-1, 2, new.shape[1])
-            signs &= fresh[:, None]
-            fresh &= ~(signs[:, 0] | signs[:, 1])
-            rows = slice(8 * w, 8 * (w + step))
-            key_bits = np.unpackbits(new, axis=1, count=len(flat[rows])).view(bool)
-            stamp[rows] += key_bits.T  # every key reached here was at stamp -1, and its pair at dist -1
-            pair_bits = key_bits[0::2] | key_bits[1::2]
-            flat[rows] += pair_bits.T * flat.dtype.type(level + 1)
-            keys += (k := np.count_nonzero(key_bits))
-            remaining -= (p := np.count_nonzero(pair_bits))
-            if k > p:  # some pair took both signs
-                d0[(key_bits[0::2] & key_bits[1::2]).reshape(len(d0), -1).any(axis=1) & (d0 == 0)] = level
-        if not remaining or keys * steps.size <= _wide(n, m) * m:  # next push: keys * mean cover degree
-            return np.flatnonzero(np.unpackbits(bits, axis=1, count=n).T), level, remaining
+        old, bits, keys = bits.view(f"V{8 * q}")[..., 0], np.zeros_like(bits), 0  # a block's row as one item
+        planes += [np.zeros_like(unseen) for _ in range((level + 1).bit_length() - len(planes))]
+        for j, new in enumerate(bits):
+            new[has] = np.bitwise_or.reduceat(old[j].take(tails).view(np.uint64).reshape(-1, q), starts)
+            signs = new.reshape(-1, 2, q)
+            signs &= unseen[j][:, None]
+            pairs = signs[:, 0] | signs[:, 1]
+            unseen[j] ^= pairs
+            reached[j] |= new
+            for plane in (plane for i, plane in enumerate(planes) if level + 1 >> i & 1):
+                plane[j] |= pairs
+            keys += (k := np.count_nonzero(np.unpackbits(new.view(np.uint8))))
+            remaining -= (p := np.count_nonzero(np.unpackbits(pairs.view(np.uint8))))
+            if k > p and not d0.all():  # some pair took both signs
+                d0[(signs[:, 0] & signs[:, 1]).reshape(len(d0), -1).any(axis=1) & (d0 == 0)] = level
+        if not remaining or keys * arcs <= wide * has.size:  # next push: keys * mean degree with arcs
+            break
+    for j, s in enumerate(blocks):  # each key reached here was at stamp -1, and its pair at dist -1
+        stamp[s : s + 64 * q] += unpack(reached, j)
+        flat[s : s + 64 * q] += sum(unpack(p, j) * flat.dtype.type(1 << i) for i, p in enumerate(planes))
+    if not (remaining and keys):
+        return frontier[:0], level, remaining
+    w = np.flatnonzero(bits)  # the words with a key of the next frontier, then their bits
+    at = np.flatnonzero(np.unpackbits(bits.ravel()[w].view(np.uint8), bitorder="little").view(bool))
+    w, bit = w[at >> 6], at & 63
+    return np.sort((64 * (w // (m * q) * q + w % q) + bit) * m + w // q % m), level, remaining
 
 
 def _expand(keys: np.ndarray, c: np.ndarray, deg: np.ndarray, cum: np.ndarray, steps, ends) -> np.ndarray:
@@ -243,7 +262,7 @@ def _all_sources(graphs: Sequence[SignedGraph]) -> list[_Table]:
     remaining = sum(v * v - v for v in sizes) - frontier.size
     d0 = np.zeros(b, dtype=np.intp)  # 0 until a level reaches a pair with both signs
     pending = b  # graphs whose d0 is still 0
-    wide = _wide(n, m)
+    wide = _wide(n, steps.size)
     level = 1
     while remaining and frontier.size:
         level += 1

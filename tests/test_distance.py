@@ -7,6 +7,7 @@ that never looks at the BFS DAG at all.
 """
 
 import contextlib
+import functools
 import random
 import tracemalloc
 from pathlib import Path
@@ -277,8 +278,11 @@ def test_a_level_splits_into_runs_at_the_default_budget(monkeypatch):
         return runs
 
     monkeypatch.setattr(distance, "_runs", counted)
-    # a grid's push levels pass the budget but stay far below the dense rule's half of 2V^2 slots
-    g = _signed_grid(20, seed=11)
+    # level 2 of an 8-regular circulant of 640 vertices expands 640 * 8 * 8 candidates:
+    # past the budget, but below the dense rule's half of 4E arcs times 10 source words
+    rng = random.Random(11)
+    g = SignedGraph(640, [(v, (v + k) % 640, rng.choice((1, -1))) for v in range(640) for k in (1, 2, 3, 4)])
+    assert distance._RUN_BUDGET < 640 * 8 * 8 <= distance._wide(640, 4 * 640 * 4)
     table = _reach_table(g)
     assert max(runs_per_split, default=0) > 1
     expected = _reference_arrays(g)
@@ -455,12 +459,12 @@ def test_dense_levels_give_the_reference_build_on_corpus_batches():
 
 def test_a_level_runs_dense_only_when_its_push_is_wide(monkeypatch):
     dense, batches = [], []
-    kernel, wide = distance._dense, distance._wide
+    kernel, wide, build = distance._dense, distance._wide, distance._all_sources
     monkeypatch.setattr(distance, "_dense", lambda *args: dense.append(args[4]) or kernel(*args))
-    monkeypatch.setattr(distance, "_wide", lambda n, m: batches.append((n, m)) or wide(n, m))
-    # more candidates than half the key slots, and than a floor tied to the run budget
-    floor = distance._RUN_BUDGET // 8
-    assert [wide(n, 2 * n) for n in (8, 64, 1000)] == [floor, max(64 * 64, floor), 1000 * 1000]
+    monkeypatch.setattr(distance, "_all_sources", lambda gs: batches.append(len(gs)) or build(gs))
+    # more candidates than half the arcs times the 64-source words, and than a floor tied to the run budget
+    floor = distance._RUN_BUDGET // 16
+    assert [wide(n, 6 * n) for n in (8, 64, 1000)] == [floor, floor, 6 * 1000 * 16 // 2]
     _reach_table(random_graph(128, 6, seed=3))
     assert dense  # its wide middle levels
     dense.clear()
@@ -470,14 +474,41 @@ def test_a_level_runs_dense_only_when_its_push_is_wide(monkeypatch):
     for seed in range(30):  # one pass of `verify` at 10 trials a key
         for key in harness.THEOREM_ORDER:
             harness.run_theorem(key, 10, seed)
-    assert any(m > 2 * n for n, m in batches)  # batches of several graphs were built
+    assert max(batches) > 1  # batches of several graphs were built
     assert dense == []
+
+
+@functools.cache
+def _core_with_a_tail():
+    """A random 128-vertex core with a 300-vertex path hung on vertex 0, and its
+    reference build: the wide middle levels run dense, the levels down the path push."""
+    rng = random.Random(5)
+    tail = [(0, 128, rng.choice((1, -1)))] + [(v, v + 1, rng.choice((1, -1))) for v in range(128, 427)]
+    g = SignedGraph(428, [*random_graph(128, 6, seed=5).edges, *tail])
+    return g, _reference_build(g)
+
+
+@pytest.mark.parametrize("budget", (1, 3, distance._RUN_BUDGET))  # 1 and 3: blocks of one 64-source word
+def test_a_build_that_leaves_a_dense_stretch_gives_the_reference_build(monkeypatch, budget):
+    (g, expected), left = _core_with_a_tail(), []
+    kernel = distance._dense
+    monkeypatch.setattr(distance, "_RUN_BUDGET", budget)
+    monkeypatch.setattr(distance, "_dense", lambda *args: (out := kernel(*args), left.append(out[0].size))[0])
+    others = [c4_one_negative(), random_graph(40, 3, seed=2)]
+    lone, *batch = distance._all_sources([g]) + distance._all_sources([others[0], g, others[1]])
+    assert left[0] > 0 and left[-1] > 0  # each build's stretch handed its keys to push levels
+    for build in (lone, batch[1]):
+        assert np.array_equal(build.dist, expected[0]) and np.array_equal(build.mask, expected[1])
+        assert build[2:] == expected[2:]
+    for h, build in zip(others, batch[::2]):
+        _assert_reference_build(h, build)
 
 
 def test_sign_table_build_memory_is_bounded():
     # expanding each level at once peaked at about 139 MiB here, and runs of
-    # whole sources over an int16 dist at about 30 MiB; with the wide levels
-    # run dense over packed source bits the build peaks at about 17 MiB
+    # whole sources over an int16 dist at about 30 MiB; dense levels over packed
+    # source bits took it to about 17 MiB, and keeping a dense stretch packed
+    # until it ends, writing the table once, to about 14 MiB
     g = random_graph(1000, 6, seed=5)
     g._adjacency_rows()
     tracemalloc.start()
