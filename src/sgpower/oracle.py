@@ -1,12 +1,15 @@
 """Brute-force ground truth and random corpus generation.
 
-`enumerate_shortest_paths` lists every shortest path between two
-vertices by depth-first search restricted to the BFS shortest-path DAG,
-with neighbors visited in ascending order, so the output order (and
-therefore everything derived from it) is deterministic.  `oracle_signs`
-reduces the listing to the sign set and is the reference the fast
-dynamic program is tested against.  `oracle_reachability` lists every
-shortest path out of one source: the brute-force twin of `sign_reachability`.
+One depth-first walk over a BFS shortest-path DAG lists every shortest
+path out of a source, each with its sign, visiting neighbors in ascending
+order, so its output order (and therefore everything derived from it) is
+deterministic.  Three functions read it.  `enumerate_shortest_paths`
+keeps the paths that end at the target, the walk held to the vertices
+of its shortest paths; `oracle_signs` reduces those to their sign set;
+`oracle_reachability`, the brute-force twin of `sign_reachability`,
+marks each path's sign at its end.  They are the reference the sign
+table (a BFS over the signed double cover) is tested against, and never
+read it.
 
 `generate` draws random connected signed graphs from a CorpusSpec.  The
 generator is Python's `random.Random` (the Mersenne Twister MT19937),
@@ -50,78 +53,68 @@ _ROUNDS = 5  # a chunk's rounds; under 1 % of sgs's trials then still lack a gra
 REQUIREMENTS = ("balanced", "compatible", "connected", "two_connected")
 
 
-def enumerate_shortest_paths(g: SignedGraph, u: int, v: int) -> list[tuple[int, ...]]:
-    """Every shortest u-v path, in lexicographic vertex order.
+def _shortest_paths(g: SignedGraph, source: int, dist: list[int]) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Every path out of `source` whose `dist` rises by one at each edge, the empty
+    one first, in lexicographic vertex order, each with its sign.  With `dist` a BFS
+    from `source` these are its shortest paths; a vertex at distance -1 is never
+    entered.  Paths wait on a stack, not in recursion, so memory bounds the depth."""
+    stack = [((source,), 1)]
+    while stack:
+        path, sign = stack.pop()
+        yield path, sign
+        x = path[-1]
+        step = dist[x] + 1
+        # reversed, so the least neighbor's paths come off the stack first
+        stack += [(path + (y,), sign * s) for y, s in reversed(g.neighbors(x)) if dist[y] == step]
 
-    Raises DisconnectedError when v is unreachable from u and
-    TooManyPathsError when more than `MAX_ORACLE_PATHS` paths exist.
-    """
+
+def _paths_between(g: SignedGraph, u: int, v: int) -> list[tuple[tuple[int, ...], int]]:
+    """The shortest u-v paths with their signs, as `enumerate_shortest_paths` lists them."""
     g._check_vertex(u)
     g._check_vertex(v)
     du = bfs(g, u)[1]
     if du[v] < 0:
         raise DisconnectedError(f"vertex {v} unreachable from {u}")
     dv = bfs(g, v)[1]
-    d = du[v]
-    paths: list[tuple[int, ...]] = []
-    prefix = [u]
-    # iterative DFS: one neighbor iterator per prefix vertex, so the depth
-    # is bounded by memory, not by the interpreter's recursion limit
-    stack = [iter(g.neighbors(u))]
-    while stack:
-        x = prefix[-1]
-        nxt = None
-        if x == v:
-            if len(paths) >= MAX_ORACLE_PATHS:
+    # a vertex on no shortest u-v path is, to the walk, unreachable
+    on_path = [a if a + b == du[v] else -1 for a, b in zip(du, dv)]
+    paths = []
+    for item in _shortest_paths(g, u, on_path):
+        if item[0][-1] == v:
+            if len(paths) == MAX_ORACLE_PATHS:
                 raise TooManyPathsError(f"more than {MAX_ORACLE_PATHS} shortest paths")
-            paths.append(tuple(prefix))
-        else:
-            # stay on the shortest-path DAG and keep v reachable in budget
-            nxt = next((y for y, _ in stack[-1] if du[y] == du[x] + 1 and du[y] + dv[y] == d), None)
-        if nxt is None:
-            stack.pop()
-            prefix.pop()
-        else:
-            prefix.append(nxt)
-            stack.append(iter(g.neighbors(nxt)))
+            paths.append(item)
     return paths
+
+
+def enumerate_shortest_paths(g: SignedGraph, u: int, v: int) -> list[tuple[int, ...]]:
+    """Every shortest u-v path, in lexicographic vertex order.
+
+    Raises DisconnectedError when v is unreachable from u and
+    TooManyPathsError when more than `MAX_ORACLE_PATHS` paths exist.
+    """
+    return [path for path, _ in _paths_between(g, u, v)]
 
 
 def oracle_signs(g: SignedGraph, u: int, v: int) -> PathSigns:
     """Sign set of the shortest u-v paths, by exhaustive enumeration."""
-    has_pos = has_neg = False
-    for path in enumerate_shortest_paths(g, u, v):
-        sign = 1
-        for a, b in zip(path, path[1:]):
-            sign *= g.sign(a, b)
-        if sign > 0:
-            has_pos = True
-        else:
-            has_neg = True
-        if has_pos and has_neg:
-            break
-    return PathSigns(has_pos, has_neg)
+    signs = {sign for _, sign in _paths_between(g, u, v)}
+    return PathSigns(1 in signs, -1 in signs)
 
 
 def oracle_reachability(g: SignedGraph, source: int) -> list[Reach]:
-    """`sign_reachability(g, source)` by brute force: after one `bfs`, a depth-first
-    search over its DAG lists every shortest path out of `source`, the empty one
-    included, merging no (vertex, sign) state, and marks each path's sign at its
-    end.  Raises DisconnectedError, and TooManyPathsError past `MAX_ORACLE_PATHS`
-    listed paths."""
+    """`sign_reachability(g, source)` by brute force: after one `bfs`, the walk lists
+    every shortest path out of `source`, the empty one included, merging no
+    (vertex, sign) state, and each path's sign is marked at its end.  Raises
+    DisconnectedError, and TooManyPathsError past `MAX_ORACLE_PATHS` listed paths."""
     dist = bfs(g, source)[1]
     if -1 in dist:
         raise DisconnectedError(f"vertex {dist.index(-1)} unreachable from {source}")
     seen = [[False, False] for _ in dist]  # [positive, negative] path to each vertex
-    stack = [(source, 1)]  # (end, sign) of each path not yet listed, the empty one first
-    listed = 0
-    while stack:
-        listed += 1
+    for listed, (path, sign) in enumerate(_shortest_paths(g, source, dist), 1):
         if listed > MAX_ORACLE_PATHS:
             raise TooManyPathsError(f"more than {MAX_ORACLE_PATHS} shortest paths out of {source}")
-        x, sign = stack.pop()
-        seen[x][sign < 0] = True
-        stack.extend((y, sign * s) for y, s in g.neighbors(x) if dist[y] == dist[x] + 1)
+        seen[path[-1]][sign < 0] = True
     return [Reach(d, PathSigns(*signs)) for d, signs in zip(dist, seen)]
 
 

@@ -99,6 +99,10 @@ def test_equality_and_hash_ignore_edge_order():
     assert a != SignedGraph(4, [(0, 1, 1), (1, 2, -1)])
 
 
+def test_a_graph_equals_no_other_type():
+    assert (SignedGraph(2, [(0, 1, 1)]) == 5) is False
+
+
 # -- switching ---------------------------------------------------------------
 
 

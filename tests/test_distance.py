@@ -480,11 +480,12 @@ def test_a_level_runs_dense_only_when_its_push_is_wide(monkeypatch):
 
 @functools.cache
 def _core_with_a_tail():
-    """A random 128-vertex core with a 300-vertex path hung on vertex 0, and its
-    reference build: the wide middle levels run dense, the levels down the path push."""
+    """A random 128-vertex core with a 100-vertex path hung on vertex 0, and its
+    reference build: the wide middle levels run dense, the levels down the path push.
+    Its 228 sources fill four 64-source words, so small budgets make several blocks."""
     rng = random.Random(5)
-    tail = [(0, 128, rng.choice((1, -1)))] + [(v, v + 1, rng.choice((1, -1))) for v in range(128, 427)]
-    g = SignedGraph(428, [*random_graph(128, 6, seed=5).edges, *tail])
+    tail = [(0, 128, rng.choice((1, -1)))] + [(v, v + 1, rng.choice((1, -1))) for v in range(128, 227)]
+    g = SignedGraph(228, [*random_graph(128, 6, seed=5).edges, *tail])
     return g, _reference_build(g)
 
 

@@ -21,6 +21,7 @@ from sgpower import (
     harness,
     is_balanced,
     is_two_connected,
+    lift_path,
     oracle,
     power,
     spectra,
@@ -282,6 +283,50 @@ def test_check_turns_only_a_library_error_into_its_line(monkeypatch):
     _patch_nbc(monkeypatch, broken)
     with pytest.raises(ZeroDivisionError):
         harness.check("nbc", g, 0, {})
+
+
+# -- each key's failure lines, from a fault in one library function --------------
+
+
+def test_diam_reports_a_common_completion_that_differs(monkeypatch):
+    g = path_graph([1, -1])  # compatible, so its common completion exists
+    monkeypatch.setattr(
+        harness, "associated_complete", lambda h, mode: h if mode == "pm" else associated_complete(h, mode)
+    )
+    assert harness.check("diam", g, 0, {}) == "the common completion differs from the signed distances"
+
+
+def test_l1_reports_a_lift_of_the_wrong_length(monkeypatch):
+    g = path_graph([1])  # one edge, so the sampled path is (0, 1) or (1, 0)
+    monkeypatch.setattr(harness, "lift_path", lambda h, p, n: (*lift_path(h, p, n), p[-1]))
+    assert harness.check("l1", g, 0, {}) == "n=1: lift of (0, 1) has length 2"
+
+
+def test_le_reports_a_projection_of_the_wrong_length(monkeypatch):
+    g = path_graph([1])
+    monkeypatch.setattr(harness, "project_path", lambda witnesses, p: p[:1])
+    assert harness.check("le", g, 0, {}) == "n=1: projection of (0, 1) has length 0"
+
+
+def test_l3_reports_common_completions_that_differ(monkeypatch):
+    g = path_graph([1, -1])  # balanced, so l3 compares the common completions
+
+    def faulty(h, mode):  # the common completion of every power but g itself has no edges
+        if mode == "pm" and h is not g:
+            return SignedGraph(h.vertex_count, [])
+        return associated_complete(h, mode)
+
+    monkeypatch.setattr(harness, "associated_complete", faulty)
+    assert harness.check("l3", g, 0, {}) == "n=2: common completions differ"
+
+
+def test_sgs_reports_a_power_whose_balance_disagrees(monkeypatch):
+    g = cycle_graph([1, 1, 1, 1])  # balanced, 2-connected, diameter 2
+    monkeypatch.setattr(
+        harness, "is_balanced",
+        lambda h: is_balanced(h) if h is g else SimpleNamespace(balanced=not is_balanced(h).balanced),
+    )
+    assert harness.check("sgs", g, 0, {}) == "n=2: power balance disagrees with the spectral test"
 
 
 @pytest.mark.parametrize("name", THEOREM_ORDER)
