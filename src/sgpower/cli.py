@@ -238,7 +238,7 @@ def _write_bundle(root: Path, failed: list[harness.TheoremReport]) -> None:
 
 
 def _cmd_generate(args) -> int:
-    spec = parse_corpus_spec(Path(args.spec).read_text())
+    spec = parse_corpus_spec(Path(args.spec).read_text(encoding="utf-8"))
     for i, g in enumerate(generate(spec)):
         sys.stdout.write(serialize_graph(g, comments=(f"trial {i}",)))
         print()
@@ -312,9 +312,11 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if "file" in args:
-            return args.func(parse_graph(Path(args.file).read_text()), args)
+            with open(args.file, encoding="utf-8") as f:  # plain open(): faster than Path.read_text
+                g = parse_graph(f.read())
+            return args.func(g, args)
         return args.func(args)
-    except (SignedGraphError, OSError) as exc:
+    except (SignedGraphError, OSError, UnicodeDecodeError) as exc:
         print(error_line(exc), file=sys.stderr)
         return 1
     except MemoryError as exc:  # numpy's message names the array it could not allocate

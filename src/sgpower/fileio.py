@@ -8,10 +8,13 @@ Graph file format, one item per line:
     <u> <v> <s>     one edge per line; s is one of +  -  1  -1
 
 Unknown tokens are errors.  Parse errors carry the 1-based line number.
-The parser checks only the syntax and the sign tokens and streams the
-edges into the `SignedGraph` constructor, one line at a time; the
-constructor's edge errors (loops, duplicates, out-of-range ends) are
-re-raised as the same error types with the line number in front, so the
+`parse_graph` takes a text in the writer's layout (only "#" and blank lines
+before "n", then single-spaced edge lines and blank lines, all ended by
+"\n") in one bulk pass: one regex match, one split, and the tokens straight
+into the `SignedGraph` constructor.  Any other text, or a bad token or edge,
+goes to the line reader `_parse_lines`, which streams the edges into the
+constructor one line at a time and re-raises its edge errors (loops,
+duplicates, out-of-range ends) with the line number in front, so the
 first bad line is the one reported.
 
 The writer `serialize_edges` yields the text a block of row-major edge arrays
@@ -26,6 +29,8 @@ max_vertices, say) at the later line of the keys involved.
 
 from __future__ import annotations
 
+import contextlib
+import re
 from typing import Iterator
 
 import numpy as np
@@ -52,7 +57,20 @@ class GraphSyntaxError(SignedGraphError):
         super().__init__(f"line {line}: {message}")
 
 
+# the bulk layout; \S is all but str.split's whitespace, which holds every str.splitlines break
+_SKIP = r"(?:(?:#[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*)?\n)*"
+_BULK = re.compile(rf"{_SKIP}sg 1\n{_SKIP}n ([1-9][0-9]{{0,8}})\n((?:\S+ \S+ \S+\n|\n)*(?:\S+ \S+ \S+)?)")
+
+
 def parse_graph(text: str) -> SignedGraph:
+    if match := _BULK.fullmatch(text):  # a "#" line among the edges puts "#..." where int() fails
+        t, signs = match[2].split(), SIGN_TOKENS.__getitem__
+        with contextlib.suppress(ValueError, KeyError, SignedGraphError):  # the line reader names the line
+            return SignedGraph(int(match[1]), zip(map(int, t[0::3]), map(int, t[1::3]), map(signs, t[2::3])))
+    return _parse_lines(text)
+
+
+def _parse_lines(text: str) -> SignedGraph:
     lines = text.splitlines()
     significant = [
         (i, line) for i, line in enumerate(map(str.strip, lines), 1) if line and not line.startswith("#")

@@ -582,6 +582,22 @@ def test_unreadable_path_is_a_domain_error(capsys, tmp_path):
     assert err.startswith("IsADirectory:") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "command, data, line",
+    [
+        ("info", b"sg 1\nn 2\n0 1 \xff\n", "byte 0xff in position 13: invalid start byte"),
+        ("generate", b"seed = 3\n# caf\xe9\n", "byte 0xe9 in position 14: invalid continuation byte"),
+    ],
+    ids=["graph", "spec"],
+)
+def test_a_file_that_is_not_utf8_is_a_one_line_domain_error(capsys, tmp_path, command, data, line):
+    f = tmp_path / "input"
+    f.write_bytes(data)
+    code, out, err = run(capsys, command, str(f))
+    assert (code, out) == (1, "")
+    assert err == f"UnicodeDecode: 'utf-8' codec can't decode {line}\n"
+
+
 def test_parse_error_reports_line(capsys, tmp_path):
     f = tmp_path / "bad.sg"
     f.write_text("sg 1\nn 3\n0 0 +\n")
@@ -774,7 +790,7 @@ _GRAPH_TEXT = st.one_of(
             ["n 1", "n 3", "n 5", "n 6", "n 0", "n -2", "n x", "0 1 +",
              "n 100000000000000000000", "n 1073741824"]
         ),
-        st.lists(st.one_of(_EDGE_LINE, st.sampled_from(["# note", "0 1", "0 1 + +"])), max_size=10),
+        st.lists(st.one_of(_EDGE_LINE, st.sampled_from(["# note", "# 0 1", "0 1", "0 1 + +"])), max_size=10),
     ),
 )
 _SPEC_TEXT = st.builds(
@@ -823,7 +839,7 @@ _OPTIONS = {
 
 @st.composite
 def _invocations(draw):
-    """(argv, file text): a subcommand, a subset of its options, and a file operand."""
+    """(argv, file bytes): a subcommand, a subset of its options, and a file operand."""
     command = draw(st.sampled_from([*_OPTIONS, "bogus"]))
     argv = [command]
     if command == "verify":  # always bounded: the default 100 trials take seconds
@@ -833,22 +849,26 @@ def _invocations(draw):
             value = draw(values)
             argv += [flag] if value is None else [flag, value]
     text = draw(_SPEC_TEXT if command == "generate" else _GRAPH_TEXT)
+    data = text.replace("\n", draw(st.sampled_from(["\n", "\r\n"]))).encode()
+    if draw(st.integers(0, 4)) == 0:  # a byte that is not UTF-8
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
     operand = draw(st.sampled_from(["FILE"] * 6 + ["MISSING", "DIR", None, "--bogus"]))
     if command != "verify" and operand is not None:
         argv.append(operand)
-    return argv, text
+    return argv, data
 
 
 @given(_invocations())
 @settings(max_examples=250, deadline=None)
 def test_every_invocation_exits_0_1_or_2_with_at_most_one_stderr_line(invocation):
-    argv, text = invocation
+    argv, data = invocation
     with tempfile.TemporaryDirectory() as tmp:
-        (Path(tmp) / "input").write_text(text)
+        (Path(tmp) / "input").write_bytes(data)
         files = {"FILE": "input", "MISSING": "absent.sg", "DIR": "."}
         argv = [str(Path(tmp) / files[a]) if a in files else a for a in argv]
         if argv[0] == "verify":
             argv += ["--bundle", str(Path(tmp) / "bundle")]
         code, _, err = run_captured(argv)
-    assert code in (0, 1, 2), (argv, text, code, err)
-    assert len(err.splitlines()) <= 1 and "Traceback" not in err, (argv, text, err)
+    assert code in (0, 1, 2), (argv, data, code, err)
+    assert len(err.splitlines()) <= 1 and "Traceback" not in err, (argv, data, err)

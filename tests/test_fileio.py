@@ -1,9 +1,11 @@
 """Graph file and corpus spec parsing, with 1-based line numbers on errors."""
 
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgpower import (
     BadSignError,
@@ -12,11 +14,14 @@ from sgpower import (
     GraphSyntaxError,
     LoopEdgeError,
     SignedGraph,
+    SignedGraphError,
     VertexOutOfRangeError,
     parse_corpus_spec,
     parse_graph,
     serialize_graph,
 )
+from sgpower import fileio
+from sgpower.core import error_line
 from sgpower.fileio import serialize_edges
 
 from conftest import connected_signed_graphs
@@ -165,6 +170,99 @@ def test_sign_tokens():
     for token, sign in (("+", 1), ("1", 1), ("-", -1), ("-1", -1)):
         g = parse_graph(f"sg 1\nn 2\n0 1 {token}\n")
         assert g.sign(0, 1) == sign
+
+
+# -- the bulk read against the line reader ------------------------------------------
+
+
+def _outcome(parse, text):
+    """The edges `parse` reads from text, or its error as one line with its line number."""
+    try:
+        g = parse(text)
+    except SignedGraphError as exc:
+        return error_line(exc), getattr(exc, "line", None)
+    return g.vertex_count, g.edges
+
+
+@pytest.mark.parametrize(
+    "text, outcome",
+    [
+        # a 2-field and a 4-field line whose tokens re-align into two valid triples
+        ("sg 1\nn 4\n0 1\n-1 2 3 +\n", "GraphSyntax: line 3: expected '<u> <v> <sign>', got '0 1'"),
+        ("sg 1\nn 3\n0 1\u2028+\n", "GraphSyntax: line 3: expected '<u> <v> <sign>', got '0 1'"),
+        ("sg 1\nn 3\n0 1 +\x851 2 -\n", ((0, 1, 1), (1, 2, -1))),
+        ("sg 1\nn 3\n0 1\x1c+\n", "GraphSyntax: line 3: expected '<u> <v> <sign>', got '0 1'"),
+        ("sg 1\rn 3\r0 1 +\r1 2 -\r", ((0, 1, 1), (1, 2, -1))),
+        ("sg 1\r\nn 3\r\n0 1 +\r\n", ((0, 1, 1),)),
+        ("sg 1\nn 3\n0\xa01 +\n", ((0, 1, 1),)),
+        ("sg 1\nn 3\n0 1\x0b+\n", "GraphSyntax: line 3: expected '<u> <v> <sign>', got '0 1'"),
+        ("sg 1\nn 1_1\n1_0 ٣ -\n", ((3, 10, -1),)),
+        ("sg 1\nn 3\n\n0 1 +\n# 1 2\n\n1 2 -\n", ((0, 1, 1), (1, 2, -1))),
+        ("sg 1\nn 3\n0 1 +\n#1 2 +\n", ((0, 1, 1),)),
+        ("sg 1\nn 3\n0 1 +\n2 2 -\n", "LoopEdge: line 4: loop edge at vertex 2"),
+        ("sg 1\nn 3\n0 1 +\n1 0 -\n", "DuplicateEdge: line 4: edge (0, 1) appears more than once"),
+        ("sg 1\nn 3\n0 1 +\n0 3 +\n", "VertexOutOfRange: line 4: edge (0, 3) has an endpoint outside [0, 3)"),
+        ("sg 1\nn 3\n0 1 +\n1 2 -", ((0, 1, 1), (1, 2, -1))),
+    ],
+    ids=["realigned fields", "u2028 break", "x85 break", "x1c break", "cr breaks", "crlf",
+         "xa0 gap", "x0b break", "1_0 and arabic 3", "blank and # lines", "# line of 3 fields",
+         "loop", "duplicate", "out of range", "no final newline"],
+)
+def test_the_bulk_read_gives_the_line_readers_graph_or_error(text, outcome):
+    got = _outcome(fileio.parse_graph, text)
+    assert got == _outcome(fileio._parse_lines, text)
+    assert got[0 if isinstance(outcome, str) else 1] == outcome  # the error line, or the edges
+
+
+_FIELD = st.sampled_from(["0", "1", "2", "3", "-1", "+", "-", "1_0", "٣", "#", "x"])
+_GAP = st.sampled_from([" ", " ", " ", "  ", "\t", "\xa0", "\x0b", "\x1c"])
+_BREAK = st.sampled_from(["\n", "\n", "\n", "\n", "\r\n", "\r", "\x85", "\u2028", "\x1c"])
+_TRIPLE = st.builds(" ".join, st.lists(_FIELD, min_size=3, max_size=3))
+_LINE = st.one_of(
+    st.builds(str.join, _GAP, st.lists(_FIELD, max_size=4)),
+    st.builds(str.__add__, _GAP, _TRIPLE),
+    st.sampled_from(["", "  ", "# note", "# 0 1"]),
+)
+
+
+@st.composite
+def _graph_texts(draw):
+    """Texts near the graph format: fuzzed fields, gaps, line breaks and line counts, half
+    of them in the bulk layout but for their tokens (every break a "\n", and single spaces),
+    some of those with their edge tokens regrouped into lines of 1 to 4 fields."""
+    fuzzed = draw(st.booleans())
+    body_line = _LINE if fuzzed else st.sampled_from(["", "0 1 +", "0 2 -", "1 2 1", "3 2 -1"]) | _TRIPLE
+    body = draw(st.lists(body_line, max_size=8))
+    if not fuzzed and draw(st.booleans()):
+        tokens = " ".join(body).split()
+        sizes = draw(st.lists(st.integers(1, 4), min_size=len(tokens), max_size=len(tokens)))
+        cuts = itertools.pairwise(itertools.accumulate([0, *sizes]))
+        body = [" ".join(tokens[a:b]) for a, b in cuts if a < len(tokens)]
+    lines = [
+        *draw(st.lists(st.sampled_from(["", "# c", " "] if fuzzed else ["", "# c"]), max_size=2)),
+        draw(st.sampled_from(["sg 1", "sg  1", "sg 2"] if fuzzed else ["sg 1"])),
+        draw(st.sampled_from(["n 3", "n 4", "n 4", "n 1_0", "n ٣", "n 0", "n x", "n  4"])),
+        *body,
+    ]
+    text = "".join(line + (draw(_BREAK) if fuzzed else "\n") for line in lines)
+    return text.removesuffix("\n") if draw(st.booleans()) else text
+
+
+@given(_graph_texts())
+@settings(max_examples=500)
+def test_parse_graph_matches_the_line_reader_on_fuzzed_texts(text):
+    assert _outcome(fileio.parse_graph, text) == _outcome(fileio._parse_lines, text)
+
+
+def test_the_writers_layout_takes_the_bulk_read(monkeypatch):
+    def line_reader(text):
+        raise AssertionError("the line reader ran")
+
+    monkeypatch.setattr(fileio, "_parse_lines", line_reader)
+    assert parse_graph(GOOD).edge_count == 4  # a comment before the count, a blank line after
+    g = _random_graph(130, 900, 2)
+    for text in (serialize_graph(g), serialize_graph(g, ("trial 3",)), serialize_graph(g)[:-1]):
+        assert parse_graph(text) == g
 
 
 # -- corpus spec files --------------------------------------------------------------
