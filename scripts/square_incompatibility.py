@@ -1,8 +1,9 @@
-"""Squares of all-negative odd cycles lose compatibility.
+"""Squares of all-negative odd cycles can lose compatibility.
 
-The all-negative cycle C_k (k odd, k >= 7) is compatible, its square is
-unique, and yet the square is incompatible.  This script reproduces the
-k = 7 case pair by pair, then sweeps odd k and reports where the first
+The all-negative cycle C_k (k odd, k >= 5) is compatible and its square
+is unique.  For k = 3 (mod 4), k >= 7, the square is incompatible; for
+k = 1 (mod 4) it stays compatible.  This script reproduces the k = 7
+case pair by pair, then sweeps odd k and reports where the first
 incompatible pair of the square shows up and how the completion of the
 base graph differs from the completion of its square.
 

@@ -47,7 +47,8 @@ def is_balanced(g: SignedGraph) -> BalanceReport:
 
     Balanced: returns the switching labels, with label(0) = +1.
     Unbalanced: returns a negative cycle as a closed vertex sequence.
-    The report is cached on the (immutable) graph.
+    The report is cached on the (immutable) graph: a power or completion
+    that is g itself (n = 1, or g complete) asks again.
     """
     report = g._cache.get("balance")
     if report is None:

@@ -88,7 +88,8 @@ class SignedGraph:
     {+1, -1} and out-of-range endpoints are rejected.  The sorted
     adjacency lists are built by the first walk (`neighbors`, `degree`)
     and kept, so a graph that is only compared, hashed, signed,
-    serialized or given a sign table never builds them.
+    serialized or given a sign table never builds them.  `_cache` holds
+    the two facts read back: the sign table and the balance report.
     """
 
     __slots__ = ("vertex_count", "_sign_by_pair", "_adjacency", "_cache")
@@ -123,12 +124,8 @@ class SignedGraph:
 
     @property
     def edges(self) -> tuple[Edge, ...]:
-        """All edges as (u, v, sign) with u < v, sorted."""
-        out = self._cache.get("edges")
-        if out is None:
-            out = tuple(sorted((u, v, s) for (u, v), s in self._sign_by_pair.items()))
-            self._cache["edges"] = out
-        return out
+        """All edges as (u, v, sign) with u < v, sorted (made on each call)."""
+        return tuple(sorted((u, v, s) for (u, v), s in self._sign_by_pair.items()))
 
     def has_edge(self, u: int, v: int) -> bool:
         key = (u, v) if u < v else (v, u)
@@ -172,11 +169,7 @@ class SignedGraph:
         )
 
     def __hash__(self) -> int:
-        h = self._cache.get("hash")
-        if h is None:
-            h = hash((self.vertex_count, frozenset(self._sign_by_pair.items())))
-            self._cache["hash"] = h
-        return h
+        return hash((self.vertex_count, frozenset(self._sign_by_pair.items())))
 
     def __repr__(self) -> str:
         return f"SignedGraph({self.vertex_count}, {list(self.edges)!r})"
@@ -230,14 +223,7 @@ def is_connected(g: SignedGraph) -> bool:
 
 def is_two_connected(g: SignedGraph) -> bool:
     """True iff g has at least 3 vertices, is connected, and has no cut
-    vertex.  The answer is cached on the (immutable) graph."""
-    answer = g._cache.get("two_connected")
-    if answer is None:
-        answer = g._cache["two_connected"] = _is_two_connected(g)
-    return answer
-
-
-def _is_two_connected(g: SignedGraph) -> bool:
+    vertex.  Each call runs the pass; the answer is not cached."""
     n = g.vertex_count
     if n < 3:
         return False

@@ -53,8 +53,9 @@ cached on the (immutable) graph as one `_Table` record: two arrays, `dist`
 `mask` (uint8, bit 0 set when a positive shortest path exists, bit 1 when
 a negative one does), and three facts of the build: the diameter, d0,
 the first level that reached a pair with both signs (None if none), and
-whether the graph is connected.  Every reader goes through `_reach_table`,
-and one that scans the whole table reads it in the blocks of `_row_blocks`.
+whether the graph is connected.  `build_tables` alone builds and caches
+tables; every reader goes through `_reach_table`, and one that scans the
+whole table reads it in the blocks of `_row_blocks`.
 """
 
 from __future__ import annotations
@@ -329,24 +330,24 @@ def _batches(graphs: Iterable[SignedGraph]) -> Iterator[list[SignedGraph]]:
 
 
 def build_tables(graphs: Iterable[SignedGraph]) -> None:
-    """Build and cache the sign table of each graph that has none, one BFS
-    per batch of `_batches`, as `_reach_table` would one at a time."""
+    """Build and cache the sign table of each graph that has none, one BFS per
+    batch of `_batches`: the one table writer (`_reach_table` sends a batch of one)."""
     for batch in _batches(g for g in graphs if "reach_table" not in g._cache):
         for g, table in zip(batch, _all_sources(batch)):
             g._cache["reach_table"] = table
 
 
 def _reach_table(g: SignedGraph, source: int = 0) -> _Table:
-    """The graph's `_Table`, built on first call and cached on the
-    (immutable) graph.
+    """The graph's `_Table`, built on first call by `build_tables` and cached
+    on the (immutable) graph, since every later query reads it again.
 
     On a disconnected graph this raises DisconnectedError naming the
     first vertex unreachable from `source` (every source misses one);
     the table is cached all the same, so the next call raises at once.
     """
-    table = g._cache.get("reach_table")
-    if table is None:
-        table = g._cache["reach_table"] = _all_sources((g,))[0]
+    if "reach_table" not in g._cache:
+        build_tables((g,))
+    table = g._cache["reach_table"]
     if not table.connected:
         missing = np.flatnonzero(table.dist[source] < 0)
         raise DisconnectedError(f"vertex {missing[0]} unreachable from {source}")

@@ -43,7 +43,6 @@ from .core import (
     SignedGraphError,
     VertexOutOfRangeError,
 )
-from .distance import _RUN_BUDGET
 from .oracle import CorpusSpec
 
 SIGN_TOKENS = {"+": 1, "1": 1, "-": -1, "-1": -1}
@@ -131,9 +130,8 @@ def serialize_edges(n: int, blocks, comments: tuple[str, ...] = ()) -> Iterator[
 
 
 def serialize_graph(g: SignedGraph, comments: tuple[str, ...] = ()) -> str:
-    edges = np.array(g.edges, dtype=np.intp).reshape(-1, 3)  # a line needs no row boundary
-    blocks = (edges[lo : lo + _RUN_BUDGET].T for lo in range(0, len(edges), _RUN_BUDGET))
-    return "".join(serialize_edges(g.vertex_count, blocks, comments))
+    edges = np.array(g.edges, dtype=np.intp).reshape(-1, 3)  # one block of (us, vs, signs)
+    return "".join(serialize_edges(g.vertex_count, (edges.T,), comments))
 
 
 def _requirements(text: str) -> frozenset[str]:

@@ -31,7 +31,7 @@ from sgpower import (
     switch,
     walk_sign,
 )
-from sgpower import balance, core, harness
+from sgpower import balance, core, harness, oracle
 from sgpower.balance import BalanceReport
 from sgpower.oracle import CorpusSpec, enumerate_shortest_paths, generate
 
@@ -279,12 +279,24 @@ def test_balance_and_two_connectivity_are_answered_once_per_graph(monkeypatch, k
     # the corpus vouches for 2-connectivity (and, for blcm, balance): no check asks again
     g = switch(cycle_graph([1] * 6), [1, 4])
     asked = []
-    report, two = balance._balance_report, core._is_two_connected
+    report, two = balance._balance_report, core.is_two_connected
     monkeypatch.setattr(balance, "_balance_report", lambda h: asked.append(("balance", h)) or report(h))
-    monkeypatch.setattr(core, "_is_two_connected", lambda h: asked.append(("2c", h)) or two(h))
+    for module in (harness, oracle):  # the 2-connectivity test is not cached: count its callers' calls
+        monkeypatch.setattr(module, "is_two_connected", lambda h: asked.append(("2c", h)) or two(h))
     assert harness.check(key, g, 0, {}) is None
     assert [what for what, h in asked if h is g] == want
     assert is_balanced(g) is is_balanced(g)
+
+
+@pytest.mark.parametrize("g", [switch(cycle_graph([1] * 6), [1, 4]), switch(complete_graph(5), [0, 3])])
+def test_a_graph_caches_only_its_sign_table_and_balance_report(g):
+    # every key passes on a balanced 2-connected graph; the facts not cached are made again, alike
+    for key in harness.THEOREM_ORDER:
+        assert harness.check(key, g, 0, {}) is None, key
+    for ask in (is_two_connected, lambda h: h.edges, hash):
+        first = ask(g)
+        assert ask(g) == first
+    assert set(g._cache) <= {"reach_table", "balance"}
 
 
 # -- balanced base gives compatible powers (blcm) ----------------------------------

@@ -195,6 +195,17 @@ def test_a_graph_caches_one_table_record():
     assert all(len(_table_keys(g)) == 1 for g in (*built, lone))
 
 
+def test_a_lone_table_is_built_through_build_tables(monkeypatch):
+    # build_tables is the one table writer, so a count of builds has one place to hook
+    calls = []
+    batched, kernel = distance.build_tables, distance._all_sources
+    monkeypatch.setattr(distance, "build_tables", lambda gs: calls.append(list(gs)) or batched(gs))
+    monkeypatch.setattr(distance, "_all_sources", lambda gs: calls.append(("kernel", *gs)) or kernel(gs))
+    g = all_negative_cycle(7)
+    assert (diameter(g), is_compatible(g), diameter(g)) == (3, True, 3)
+    assert calls == [[g], ("kernel", g)]
+
+
 def test_only_the_distance_module_knows_the_table_format():
     # the cache key and the kernel have one owner, so the record's layout can change in one place
     g = SignedGraph(1)

@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -328,3 +330,14 @@ def test_corpus_spec_value_errors_name_the_line_of_their_key(text, line):
     with pytest.raises(GraphSyntaxError) as e:
         parse_corpus_spec(text)
     assert e.value.line == line and str(e.value).startswith(f"line {line}: ")
+
+
+def test_the_readme_format_examples_parse():
+    # the README's graph-file and corpus-spec examples are read as a user would copy them
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```\n(.*?)^```$", readme, re.S | re.M)
+    (graph,) = [b for b in blocks if "sg 1" in b.splitlines()]
+    (spec,) = [b for b in blocks if "seed = 42" in b.splitlines()]
+    g = parse_graph(graph)
+    assert (g.vertex_count, g.edges) == (4, ((0, 1, -1), (0, 3, -1), (1, 2, 1), (2, 3, 1)))
+    assert parse_corpus_spec(spec) == CorpusSpec(42, (3, 9), 0.35, frozenset({"balanced", "two_connected"}), 200)
