@@ -33,8 +33,7 @@ from .core import (
     walk_sign,
 )
 from .distance import (
-    _NEG,
-    _POS,
+    _SIGMA,
     _SIGMA_MAX,
     _SIGMA_MIN,
     _reach_table,
@@ -117,15 +116,13 @@ def _cmd_distance(g: SignedGraph, args) -> int:
     table = _reach_table(g)
     d = table.diameter  # entry d + k of `cells` is "k\t", of `ends` "k\n"
     cells, ends = (np.array([f"{k}{c}" for k in range(-d, d + 1)], dtype=object) for c in "\t\n")
-    # D_max is +dist where a shortest path is positive, D_min is -dist where one is negative
-    for mode, bit, sign in (("max", _POS, 1), ("min", _NEG, -1)):
+    for mode, sigma in zip(("max", "min"), _SIGMA):  # D_max = sigma_max * dist, D_min = sigma_min * dist
         if args.mode == "both":
             sys.stdout.write(f"# {mode}\n")
         elif args.mode != mode:
             continue
         for rows in _row_blocks(g.vertex_count):
-            dist = sign * table.dist[rows].astype(np.intp)  # d + dist may pass int16
-            index = np.where(table.mask[rows] & bit, d + dist, d - dist)
+            index = d + sigma[table.mask[rows]] * table.dist[rows]  # int64, as d + dist may pass int16
             text = cells[index]
             text[:, -1] = ends[index[:, -1]]
             sys.stdout.write("".join(text.ravel().tolist()))
@@ -183,10 +180,9 @@ def _cmd_spectrum(g: SignedGraph, args) -> int:
 
 def _cmd_lift(g: SignedGraph, args) -> int:
     lifted = lift_path(g, args.path, args.n)
-    # a step (distance <= n) is + in the max power iff a shortest path is (mask bit 0)
-    negative = np.count_nonzero(_reach_table(g).mask[lifted[:-1], lifted[1:]] & 1 == 0)
+    sign = _SIGMA[0, _reach_table(g).mask[lifted[:-1], lifted[1:]]].prod()  # each step signed sigma_max
     print("path " + " ".join(str(v) for v in lifted))
-    print("sign " + _sign_char(-1 if negative % 2 else 1))
+    print("sign " + _sign_char(sign))
     return 0
 
 

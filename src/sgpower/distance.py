@@ -55,7 +55,10 @@ a negative one does), and three facts of the build: the diameter, d0,
 the first level that reached a pair with both signs (None if none), and
 whether the graph is connected.  `build_tables` alone builds and caches
 tables; every reader goes through `_reach_table`, and one that scans the
-whole table reads it in the blocks of `_row_blocks`.
+whole table reads it in the blocks of `_row_blocks`.  Only the kernel,
+`shortest_path_with_sign`, `is_compatible_pair` and `_first_both` read the
+mask's bits; every other reader signs a pair as sigma[mask] by `_SIGMA`,
+the one sign rule, derived by mask entry from `PathSigns`.
 """
 
 from __future__ import annotations
@@ -107,10 +110,9 @@ class _Table(NamedTuple):
 
 _POS, _NEG, _BOTH = 1, 2, 3  # bits of a `mask` entry
 _RUN_BUDGET = 1 << 15  # candidates one run of a BFS level expands, and padded pairs of one batch
-# sigma_max / sigma_min / PathSigns indexed by a mask entry (never 0)
-_SIGMA_MAX = (0, 1, -1, 1)
-_SIGMA_MIN = (0, 1, -1, -1)
-_SIGNS = (None, PathSigns(True, False), PathSigns(False, True), PathSigns(True, True))
+_SIGNS = (None, PathSigns(True, False), PathSigns(False, True), PathSigns(True, True))  # by mask entry
+_SIGMA_MAX, _SIGMA_MIN = zip((0, 0), *((s.sigma_max, s.sigma_min) for s in _SIGNS[1:]))  # 0: no path
+_SIGMA = np.array((_SIGMA_MAX, _SIGMA_MIN), dtype=np.int64)  # both as one lookup: _SIGMA[:, mask]
 
 
 def _cover_arcs(graphs: Sequence[SignedGraph], n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -372,10 +374,7 @@ def distance_matrices(g: SignedGraph) -> tuple[np.ndarray, np.ndarray]:
     """(D_max, D_min) of a connected graph: int64 V x V arrays whose entry
     (u, v) is sigma_max(u, v) * d(u, v), resp. sigma_min(u, v) * d(u, v)."""
     table = _reach_table(g)
-    d = table.dist.astype(np.int64)
-    dmax = np.where(table.mask & _POS, d, -d)
-    dmin = np.where(table.mask & _NEG, -d, d)
-    return dmax, dmin
+    return tuple(_SIGMA[:, table.mask] * table.dist)
 
 
 def is_compatible_pair(g: SignedGraph, u: int, v: int) -> bool:

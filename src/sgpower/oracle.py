@@ -185,8 +185,9 @@ def generate(spec: CorpusSpec) -> Iterator[SignedGraph]:
         found: dict[int, SignedGraph] = {}
         for _ in range(rounds):  # tables in one search the drafts that meet the rest of the spec
             drawn = {t: _random_graph(rng, spec) for t, rng in rngs.items() if t not in found}
-            build_tables(g for g in drawn.values() if _meets(g, spec.require - {"compatible"}))
-            found.update((t, g) for t, g in drawn.items() if _meets(g, spec.require))
+            fit = {t: g for t, g in drawn.items() if _meets(g, spec.require - {"compatible"})}
+            build_tables(fit.values())
+            found.update((t, g) for t, g in fit.items() if _meets(g, spec.require & {"compatible"}))
         for trial in trials:  # one the rounds left without a graph draws on alone, lazily
             drafts = (_random_graph(rngs[trial], spec) for _ in range(_ATTEMPTS_PER_TRIAL - rounds))
             g = found.get(trial) or next((g for g in drafts if _meets(g, spec.require)), None)

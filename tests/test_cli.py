@@ -525,19 +525,38 @@ nbc 200/200
 result FAIL l3
 """
 REFERENCE_BUNDLE_SHA256 = "a834fdbe4cfef8b5b24ddea3a2a6467fc68568e95f5b7c4e34f031a11a2a3eff"
+# the same run as plain digests: sha256 of stdout, and of the bundle's 23 files
+# (manifest.txt among them) concatenated in name order
+REFERENCE_STDOUT_SHA256 = "6dc188a70614c101e9ad50dceac7fa950fc08aee9ed95c3af8d91ad856bf7608"
+REFERENCE_CONTENTS_SHA256 = "9adf70d52a22481fe4506f3eb9e1441dc11fa85fd7e11e4ee7f53591c96c54b1"
 
 # stdout of `sgpower <command> data/<file>`, keyed "<command> <file>"
 GOLDEN_CLI = json.loads((ROOT / "tests" / "golden_cli.json").read_text())
 
 
-def test_reference_verify_run_is_pinned(tmp_path):
-    argv = ["verify", "--theorem", "all", "--trials", "200", "--seed", "42"]
-    code, out, _ = run_captured([*argv, "--bundle", str(tmp_path)])
+@pytest.fixture(scope="module")
+def reference_run(tmp_path_factory):
+    """(exit code, stdout, {name: bytes} of the bundle) of the reference `verify` run, made once."""
+    bundle = tmp_path_factory.mktemp("bundle")
+    argv = ["verify", "--theorem", "all", "--trials", "200", "--seed", "42", "--bundle", str(bundle)]
+    code, out, _ = run_captured(argv)
+    return code, out, {f.name: f.read_bytes() for f in sorted(bundle.iterdir())}
+
+
+def test_reference_verify_run_is_pinned(reference_run):
+    code, out, files = reference_run
     assert (code, out) == (1, REFERENCE_VERIFY_STDOUT)
     digest = hashlib.sha256()
-    for f in sorted(tmp_path.iterdir()):
-        digest.update(f.name.encode() + b"\0" + f.read_bytes() + b"\0")
+    for name, data in files.items():
+        digest.update(name.encode() + b"\0" + data + b"\0")
     assert digest.hexdigest() == REFERENCE_BUNDLE_SHA256
+
+
+def test_reference_verify_run_matches_its_byte_identity_digests(reference_run):
+    code, out, files = reference_run
+    assert code == 1 and hashlib.sha256(out.encode()).hexdigest() == REFERENCE_STDOUT_SHA256
+    assert len(files) == 23 and "manifest.txt" in files
+    assert hashlib.sha256(b"".join(files.values())).hexdigest() == REFERENCE_CONTENTS_SHA256
 
 
 @pytest.mark.parametrize("command", sorted(GOLDEN_CLI))

@@ -725,6 +725,18 @@ def test_distance_matrix_structure(g):
 
 @given(connected_signed_graphs())
 @settings(max_examples=60)
+def test_distance_matrices_sign_each_pair_as_the_oracle_does(g):
+    # the CLI's matrices are checked against these, so the sign rule is checked here, by brute force
+    dmax, dmin = distance_matrices(g)
+    for u in range(g.vertex_count):
+        d = core.bfs(g, u)[1]
+        for v in range(g.vertex_count):
+            signs = oracle_signs(g, u, v)
+            assert (dmax[u, v], dmin[u, v]) == (signs.sigma_max * d[v], signs.sigma_min * d[v])
+
+
+@given(connected_signed_graphs())
+@settings(max_examples=60)
 def test_compatible_iff_matrices_equal(g):
     dmax, dmin = distance_matrices(g)
     assert is_compatible(g) == np.array_equal(dmax, dmin)

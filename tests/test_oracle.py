@@ -376,6 +376,18 @@ def test_generation_matches_the_sequential_loop(monkeypatch, require, vertex_ran
         assert _outcome(generate(spec)) == _outcome(_sequential(spec))
 
 
+def test_rounds_ask_each_draft_about_two_connectivity_once(monkeypatch):
+    # a round asks about compatibility only the drafts already found 2-connected
+    spec = CorpusSpec(7, (3, 8), 0.5, frozenset({"compatible", "two_connected"}), 50)
+    expected = list(_sequential(spec))
+    drafts, asked = [], []
+    draw, two_connected = oracle._random_graph, oracle.is_two_connected
+    monkeypatch.setattr(oracle, "_random_graph", lambda rng, spec: drafts.append(1) or draw(rng, spec))
+    monkeypatch.setattr(oracle, "is_two_connected", lambda g: asked.append(1) or two_connected(g))
+    assert list(generate(spec)) == expected
+    assert len(asked) == len(drafts) > spec.trials
+
+
 def _drafts_until_exhausted(monkeypatch, require):
     drawn = []
     draw = oracle._random_graph
