@@ -113,6 +113,7 @@ _RUN_BUDGET = 1 << 15  # candidates one run of a BFS level expands, and padded p
 _SIGNS = (None, PathSigns(True, False), PathSigns(False, True), PathSigns(True, True))  # by mask entry
 _SIGMA_MAX, _SIGMA_MIN = zip((0, 0), *((s.sigma_max, s.sigma_min) for s in _SIGNS[1:]))  # 0: no path
 _SIGMA = np.array((_SIGMA_MAX, _SIGMA_MIN), dtype=np.int64)  # both as one lookup: _SIGMA[:, mask]
+_SIGN_BIT = np.array((0, 1, 0, 1), dtype=np.intp)  # of an edge's four cover arcs' tails
 
 
 def _cover_arcs(graphs: Sequence[SignedGraph], n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -121,17 +122,18 @@ def _cover_arcs(graphs: Sequence[SignedGraph], n: int) -> tuple[np.ndarray, np.n
     Cover vertex (v, +) of graph i has index 2n*i + 2v and (v, -) index
     2n*i + 2v + 1, and an edge of sign s joins (x, e) to (y, e * s).  An
     arc is stored as the step from its tail to its head, so the arcs out
-    of cover vertex c lead to c + steps[ends[c] - degrees[c] : ends[c]],
-    in no set order (the table does not depend on it).
+    of cover vertex c lead to c + steps[ends[c] - degrees[c] : ends[c]], in
+    the order an unstable sort of the tails leaves them (the table does not
+    depend on it).  A tiny batch pays more for a numpy call than for its work.
     """
     maps = [g._sign_by_pair for g in graphs]
-    sizes = list(map(len, maps))
     # (u, +) and (v, +) of each edge u < v, whose four arcs leave (u, +), (u, -), (v, +) and (v, -)
     cover = 2 * np.fromiter(chain.from_iterable(chain.from_iterable(maps)), np.intp).reshape(-1, 2)
-    cover += np.arange(0, 2 * n * len(maps), 2 * n).repeat(sizes)[:, None]
+    if len(maps) > 1:  # graph i's cover vertices start at 2n*i
+        cover += np.arange(0, 2 * n * len(maps), 2 * n).repeat(list(map(len, maps)))[:, None]
     neg = np.fromiter(chain.from_iterable(map(dict.values, maps)), np.intp, len(cover)) < 0
-    tails = (cover[:, [0, 0, 1, 1]] + [0, 1, 0, 1]).ravel()
-    heads = (cover[:, [1, 1, 0, 0]] + (neg[:, None] ^ [0, 1, 0, 1])).ravel()
+    tails = (cover.repeat(2, axis=1) + _SIGN_BIT).ravel()
+    heads = (cover[:, ::-1].repeat(2, axis=1) + (neg[:, None] ^ _SIGN_BIT)).ravel()
     degrees = np.bincount(tails, minlength=2 * n * len(maps))
     return (heads - tails)[tails.argsort()], degrees.cumsum(), degrees
 

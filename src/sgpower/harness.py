@@ -8,10 +8,10 @@ or the failure as one line (a raised `SignedGraphError`'s own line).
 seed and the key's position.  All randomness flows through the corpus
 generator and, in `l1` and `le` alone, a path-sampling generator seeded
 with the trial's seed, so a (theorem, seed, trials, max_vertices)
-quadruple always gives the identical report.  Trial graphs are read in
-batches of at most `distance._RUN_BUDGET` padded vertex pairs, each
-batch's sign tables built by one search (`distance.build_tables`)
-before its graphs are checked, so memory stays bounded for any trial count.
+quadruple always gives the identical report.  Trial graphs come in batches
+of at most `distance._RUN_BUDGET` padded vertex pairs, so memory stays
+bounded.  One search (`distance.build_tables`) tables a batch before its
+graphs are checked, and in `blcm` and `l3` the powers a trial's loop reads.
 
 Keys:
 
@@ -31,6 +31,7 @@ Keys:
 
 from __future__ import annotations
 
+import contextlib
 import math
 import random
 from dataclasses import dataclass, field
@@ -84,14 +85,15 @@ def _note(notes: dict[str, int], key: str) -> None:
 
 
 def _check_t1(g: SignedGraph, seed: int, notes: dict[str, int]) -> str | None:
-    rows = [oracle_reachability(g, u) for u in range(g.vertex_count)]  # apart from the sign table
+    rows = (oracle_reachability(g, u) for u in range(g.vertex_count))  # apart from the sign table
+    d0 = min((r.distance for row in rows for r in row if not r.signs.is_single), default=None)
     dmax, dmin = distance_matrices(g)
     reach, differ = np.abs(dmax), dmax != dmin
     for n in _exponents(g):
         by_pairs = not differ[reach <= n].any()  # no pair within n whose signed distances differ
         pr = power(g, n)
         by_signs = pr.power_max == pr.power_min
-        by_oracle = all(r.signs.is_single for row in rows for r in row if r.distance <= n)
+        by_oracle = d0 is None or n < d0
         if not (by_pairs == by_signs == pr.unique == by_oracle):
             return (
                 f"n={n}: uniqueness routes disagree "
@@ -176,8 +178,10 @@ def _check_t27(g: SignedGraph, seed: int, notes: dict[str, int]) -> str | None:
 
 def _check_blcm(g: SignedGraph, seed: int, notes: dict[str, int]) -> str | None:
     # blcm's corpus draws balanced 2-connected graphs only
-    for n in range(1, diameter(g) + 1):
-        pr = power(g, n)
+    powers = [power(g, n) for n in range(1, diameter(g) + 1)]
+    with contextlib.suppress(SignedGraphError):  # an error making a power is the loop's to raise
+        build_tables(pr.power_max for pr in powers[1:] if pr.unique)  # the first power is g
+    for n, pr in enumerate(powers, 1):
         if not pr.unique:
             return f"n={n}: { {'n': n, 'reason': 'power of a balanced graph not unique'} }"
         bad = first_incompatible_pair(pr.power_max)
@@ -191,8 +195,11 @@ def _check_l3(g: SignedGraph, seed: int, notes: dict[str, int]) -> str | None:
     k_min = associated_complete(g, "min")
     # a balanced graph is compatible, so its common completion exists
     k_pm = associated_complete(g, "pm") if is_balanced(g).balanced else None
-    for n in _exponents(g)[1:]:  # the first power is g itself
-        pr = power(g, n)
+    powers = [power(g, n) for n in _exponents(g)[1:]]  # the first power is g itself
+    with contextlib.suppress(SignedGraphError):  # an error making a power is the loop's to raise
+        # a power below the diameter is incomplete, so its completions read its table
+        build_tables(h for pr in powers if pr.n < diameter(g) for h in (pr.power_max, pr.power_min))
+    for n, pr in enumerate(powers, 2):
         if k_max != associated_complete(pr.power_max, "max"):
             return f"n={n}: max completions differ"
         if k_min != associated_complete(pr.power_min, "min"):

@@ -51,6 +51,7 @@ _ATTEMPTS_PER_TRIAL = 2000
 _ROUNDS = 5  # a chunk's rounds; under 1 % of sgs's trials then still lack a graph
 
 REQUIREMENTS = ("balanced", "compatible", "connected", "two_connected")
+_SHARED_SIGNS = [[PathSigns(p, q) for q in (False, True)] for p in (False, True)]  # [positive][negative]
 
 
 def _shortest_paths(g: SignedGraph, source: int, dist: list[int]) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -115,7 +116,7 @@ def oracle_reachability(g: SignedGraph, source: int) -> list[Reach]:
         if listed > MAX_ORACLE_PATHS:
             raise TooManyPathsError(f"more than {MAX_ORACLE_PATHS} shortest paths out of {source}")
         seen[path[-1]][sign < 0] = True
-    return [Reach(d, PathSigns(*signs)) for d, signs in zip(dist, seen)]
+    return [Reach(d, _SHARED_SIGNS[p][q]) for d, (p, q) in zip(dist, seen)]
 
 
 @dataclass(frozen=True)

@@ -132,11 +132,16 @@ class _LazyWitnesses(Mapping):
         return (int(np.count_nonzero(self._table.dist <= self._n)) - self._g.vertex_count) // 2
 
 
+class _kept(cached_property):  # no lock, unlike Python 3.11's; racing first reads keep one value
+    def __get__(self, instance, owner=None):
+        return self if instance is None else instance.__dict__.setdefault(self.attrname, self.func(instance))
+
+
 class PowerResult:
     """Both n-th powers of a connected signed graph, with witnesses.
 
     Made by `power`.  Read-only; each attribute but `n` is built on
-    first read and then kept.
+    first read, taking no lock (`_kept`), and then kept.
     """
 
     def __init__(self, g: SignedGraph, n: int):
@@ -145,23 +150,23 @@ class PowerResult:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"PowerResult is read-only; cannot set {name!r}")
 
-    @cached_property
+    @_kept
     def unique(self) -> bool:
         return is_power_unique(self._g, self.n)
 
-    @cached_property
+    @_kept
     def witnesses_max(self) -> Witnesses:
         return _LazyWitnesses(self._g, self.n, _SIGMA_MAX)
 
-    @cached_property
+    @_kept
     def witnesses_min(self) -> Witnesses:
         return _LazyWitnesses(self._g, self.n, _SIGMA_MIN)
 
-    @cached_property
+    @_kept
     def power_max(self) -> SignedGraph:
         return _table_graph(self._g, self.n, _SIGMA_MAX)
 
-    @cached_property
+    @_kept
     def power_min(self) -> SignedGraph:
         return _table_graph(self._g, self.n, _SIGMA_MIN)
 

@@ -10,6 +10,7 @@ import contextlib
 import functools
 import random
 import tracemalloc
+from itertools import chain
 from pathlib import Path
 from unittest import mock
 
@@ -614,6 +615,44 @@ def test_the_table_does_not_depend_on_the_order_edges_are_given_in(budget, g, da
     for n in range(1, diam + 2):
         close = [r.signs for row in table for r in row if r.distance <= n]
         assert is_power_unique(h, n) == all(signs.is_single for signs in close)
+
+
+def _reference_cover_arcs(graphs, n):
+    """`distance._cover_arcs` as first written in numpy (fancy column indexing, list
+    operands, per-graph offsets for every batch): the reference for its leaner form."""
+    maps = [g._sign_by_pair for g in graphs]
+    sizes = list(map(len, maps))
+    cover = 2 * np.fromiter(chain.from_iterable(chain.from_iterable(maps)), np.intp).reshape(-1, 2)
+    cover += np.arange(0, 2 * n * len(maps), 2 * n).repeat(sizes)[:, None]
+    neg = np.fromiter(chain.from_iterable(map(dict.values, maps)), np.intp, len(cover)) < 0
+    tails = (cover[:, [0, 0, 1, 1]] + [0, 1, 0, 1]).ravel()
+    heads = (cover[:, [1, 1, 0, 0]] + (neg[:, None] ^ [0, 1, 0, 1])).ravel()
+    degrees = np.bincount(tails, minlength=2 * n * len(maps))
+    return (heads - tails)[tails.argsort()], degrees.cumsum(), degrees
+
+
+def test_the_cover_arcs_match_the_reference_formulation():
+    rng = random.Random(32)
+    isolated = SignedGraph(5, [(3, 1, -1), (0, 1, 1), (1, 2, -1)])  # vertex 4 has no arc
+    batches = 0
+    for trial in range(80):
+        batch = []
+        for _ in range(rng.randint(1, 6)):  # a batch of one gets no per-graph offsets
+            v = rng.randint(1, 12)  # smaller graphs are padded to the batch's largest
+            pairs = [(a, b) for a in range(v) for b in range(a + 1, v) if rng.random() < rng.random()]
+            rng.shuffle(pairs)  # edges given in any order and either orientation
+            edges = [(a, b, rng.choice((1, -1))) for a, b in pairs]
+            batch.append(SignedGraph(v, [(b, a, s) if rng.random() < 0.5 else (a, b, s) for a, b, s in edges]))
+        if trial % 4 == 0:
+            batch.insert(rng.randrange(len(batch) + 1), isolated)
+        batches += len(batch) > 1
+        n = max(g.vertex_count for g in batch)
+        steps, ends, degrees = distance._cover_arcs(batch, n)
+        want_steps, want_ends, want_degrees = _reference_cover_arcs(batch, n)
+        assert np.array_equal(ends, want_ends) and np.array_equal(degrees, want_degrees)
+        for c, (end, d) in enumerate(zip(ends.tolist(), degrees.tolist())):  # each vertex's arcs, in any order
+            assert sorted(steps[end - d : end].tolist()) == sorted(want_steps[end - d : end].tolist()), c
+    assert 20 < batches < 80
 
 
 class _Unreadable:

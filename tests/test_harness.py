@@ -176,6 +176,56 @@ def test_the_base_graphs_tables_are_built_in_one_call(monkeypatch, name):
         assert len(calls) == 1
 
 
+@pytest.mark.parametrize("name", ["blcm", "l3"])
+def test_a_trials_power_graphs_are_tabled_in_one_call(monkeypatch, name):
+    calls, per_trial = [], []
+    kernel = distance._all_sources
+    monkeypatch.setattr(distance, "_all_sources", lambda gs: calls.append(len(gs)) or kernel(gs))
+    check, corpora = harness._KEYS[name]
+
+    def counted(g, seed, notes):
+        calls.clear()  # the trial graphs' own batch is tabled before the check
+        try:
+            return check(g, seed, notes)
+        finally:
+            per_trial.append(list(calls))
+
+    monkeypatch.setitem(harness._KEYS, name, (counted, corpora))
+    for seed in range(30):
+        run_theorem(name, 10, seed)
+    assert all(len(sizes) <= 1 for sizes in per_trial)
+    assert sum(sizes[0] > 1 for sizes in per_trial if sizes) >= 5  # several power graphs in that call
+
+
+# compatible (so every power is unique), diameter 4, and a square with shortest paths of both
+# signs between 1 and 6 whose max completion differs from g's: blcm and l3 both fail at n = 2
+_FAILS_AT_THE_SQUARE = SignedGraph(8, [
+    (0, 1, -1), (0, 3, -1), (1, 2, -1), (1, 4, -1), (1, 7, 1), (3, 4, -1), (3, 5, -1), (3, 6, 1), (4, 5, -1),
+])
+
+
+@pytest.mark.parametrize(
+    "name, line",
+    [("blcm", "n=2: {'n': 2, 'pair': (1, 6)}"), ("l3", "n=2: max completions differ")],
+    ids=["blcm", "l3"],
+)
+def test_tabling_the_powers_ahead_keeps_the_first_failing_exponents_line(monkeypatch, name, line):
+    unbalanced = _FAILS_AT_THE_SQUARE
+    balanced = SignedGraph(8, [(u, v, 1) for u, v, _ in unbalanced.edges])
+    assert harness.check(name, unbalanced, 0, {}) == line
+    assert harness.check(name, balanced, 0, {}) is None
+    build = power_module._table_graph
+
+    def cube_raises(h, n, sigma):  # neither graph's cube can be made
+        if n == 3 and (h is unbalanced or h is balanced):
+            raise MissingWitnessError("the cube cannot be made")
+        return build(h, n, sigma)
+
+    monkeypatch.setattr(power_module, "_table_graph", cube_raises)
+    assert harness.check(name, unbalanced, 0, {}) == line  # its loop stops at the square
+    assert harness.check(name, balanced, 0, {}) == "MissingWitness: the cube cannot be made"
+
+
 def test_sgs_tables_its_candidates_in_rounds(monkeypatch):
     lone = []
     kernel = distance._all_sources

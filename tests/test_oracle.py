@@ -150,6 +150,21 @@ def test_reachability_matches_the_listing_on_corpus_graphs_and_their_squares():
         _checked_against_the_listing(power(g, 2).power_max)
 
 
+def test_the_oracles_d0_is_the_tables_on_corpus_graphs():
+    # t1 reads d0 off the oracle's rows: the least distance of a pair listed with both signs
+    specs = [
+        CorpusSpec(seed=41, vertex_range=(3, 9), edge_probability=0.35, require={"connected"}, trials=300),
+        CorpusSpec(seed=42, vertex_range=(3, 9), edge_probability=0.3, require={"compatible"}, trials=40),
+    ]
+    found = []
+    for g in (g for spec in specs for g in generate(spec)):
+        rows = [oracle_reachability(g, u) for u in range(g.vertex_count)]
+        d0 = min((r.distance for row in rows for r in row if r.signs == PathSigns(True, True)), default=None)
+        assert d0 == distance._reach_table(g).d0
+        found.append(d0)
+    assert found.count(None) >= 40 and len(set(found)) >= 3
+
+
 def test_reachability_reads_no_sign_table(monkeypatch):
     def no_table(graphs):
         raise AssertionError("the oracle must not build a sign table")
